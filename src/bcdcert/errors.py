@@ -82,10 +82,6 @@ class DegenerateRegion(BcdcertError):
     """Sampling box has no volume."""
 
 
-class NoConvergence(BcdcertError):
-    """Iterative routine hit its cap before reaching tolerance."""
-
-
 # -- trace / CLI errors ------------------------------------------------------
 
 class SchemaMismatch(BcdcertError):

@@ -1,10 +1,10 @@
 """Independent numerical oracles.
 
 These routines deliberately avoid the analytic code paths they are used to
-check: gradients are probed by central differences, Lipschitz constants by
-sampled secant ratios, and the spectral norm by power iteration. The Lipschitz
-probe can only certify violations (it is a lower estimate of the true region
-constant), never validate an oracle exactly.
+check: gradients are probed by central differences and Lipschitz constants by
+sampled secant ratios. The Lipschitz probe can only certify violations (it is
+a lower estimate of the true region constant), never validate an oracle
+exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegion, NoConvergence, NonFiniteValue
+from .errors import DegenerateRegion, NonFiniteValue
 from .problem import BlockPoint, Objective
 
 
@@ -110,46 +110,3 @@ def probe_lipschitz_x(
             best = ratio
     return best
 
-
-def _power_iterate(gram, v, tol, max_iter):
-    """Run power iteration on a PSD matrix from v; Rayleigh-quotient estimate."""
-    lam = float(v @ gram @ v)
-    for _ in range(max_iter):
-        w = gram @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0, v, True
-        v = w / norm_w
-        lam_new = float(v @ gram @ v)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new, v, True
-        lam = lam_new
-    return lam, v, False
-
-
-def spectral_norm(mat, tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
-
-    Start vector is all-ones normalized; after the first stagnation the
-    iterate is perturbed with a fixed ramp and re-converged, which recovers
-    from starts orthogonal to the top singular direction. Deterministic.
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteValue("matrix contains NaN/Inf entries")
-    if mat.size == 0:
-        return 0.0
-    # Same nonzero spectrum either way; iterate on the smaller Gram matrix.
-    gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
-    k = gram.shape[0]
-
-    v0 = np.ones(k) / np.sqrt(k)
-    lam1, v1, ok1 = _power_iterate(gram, v0, tol, max_iter)
-    ramp = np.arange(1, k + 1, dtype=float)
-    ramp /= np.linalg.norm(ramp)
-    v_pert = v1 + ramp
-    v_pert /= np.linalg.norm(v_pert)
-    lam2, _, ok2 = _power_iterate(gram, v_pert, tol, max_iter)
-    if not (ok1 and ok2):
-        raise NoConvergence(f"power iteration did not settle in {max_iter} iterations")
-    return float(np.sqrt(max(lam1, lam2, 0.0)))

@@ -9,6 +9,8 @@ that into the specific Missing* error.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue
@@ -116,23 +118,34 @@ class Objective:
             )
 
 
-def evaluate(obj: Objective, p: BlockPoint):
-    """Bundled oracle call: (value, grad_x, grad_y) from one consistent state.
+def checked_value(obj: Objective, p: BlockPoint) -> float:
+    """``obj.value(p)`` as a float, raising NonFiniteValue unless it is finite."""
+    f = float(obj.value(p))
+    if not math.isfinite(f):
+        raise NonFiniteValue(f"objective value is {f!r} at {p!r}")
+    return f
 
-    Validates dimensions and finiteness so the solver loop can trust every
+
+def checked_grad(obj: Objective, p: BlockPoint, block: str) -> np.ndarray:
+    """One block gradient (``block`` is "x" or "y") as a flat float64 array.
+
+    Raises DimensionMismatch when its size is not the block's and
+    NonFiniteValue when an entry is NaN/Inf.
+    """
+    grad, size = (obj.grad_x, obj.n_x) if block == "x" else (obj.grad_y, obj.n_y)
+    g = np.asarray(grad(p), dtype=np.float64).ravel()
+    if g.size != size:
+        raise DimensionMismatch(f"grad_{block} has size {g.size}, expected {size}")
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteValue(f"grad_{block} is non-finite at {p!r}")
+    return g
+
+
+def evaluate(obj: Objective, p: BlockPoint):
+    """Bundled oracle call: (value, grad_x, grad_y) at one point, all checked.
+
+    Validates dimensions and finiteness so the caller can trust every
     number it records.
     """
     obj.check_point(p)
-    f = float(obj.value(p))
-    gx = np.asarray(obj.grad_x(p), dtype=np.float64).ravel()
-    gy = np.asarray(obj.grad_y(p), dtype=np.float64).ravel()
-    if gx.size != obj.n_x or gy.size != obj.n_y:
-        raise DimensionMismatch(
-            f"gradients have sizes ({gx.size}, {gy.size}), "
-            f"expected ({obj.n_x}, {obj.n_y})"
-        )
-    if not np.isfinite(f):
-        raise NonFiniteValue(f"objective value is {f!r} at {p!r}")
-    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
-        raise NonFiniteValue(f"gradient is non-finite at {p!r}")
-    return f, gx, gy
+    return checked_value(obj, p), checked_grad(obj, p, "x"), checked_grad(obj, p, "y")

@@ -26,7 +26,6 @@ from .errors import (
     SingularSystem,
     UnknownFamily,
 )
-from .numerics import spectral_norm
 from .problem import BlockPoint, Objective, as_vector
 
 
@@ -214,11 +213,11 @@ class MatrixFactorization(Objective):
         return np.linalg.solve(gram, Y @ self.target.T).T.ravel()
 
     def lipschitz_x(self, y):
-        sigma = spectral_norm(self._Y(y), tol=1e-13)
-        # Power iteration approaches λ_max from below; the pad keeps the
-        # declared constant an upper bound so fixed-step decrease cannot
-        # fail by a few ulps.
-        return sigma * sigma * (1.0 + 1e-8)
+        Y = self._Y(y)
+        # λ_max(YY') is the squared spectral norm of Y; the pad keeps the
+        # declared constant an upper bound when eigvalsh rounds it down by a
+        # few ulps, so the fixed-step decrease cannot fail on roundoff.
+        return float(np.linalg.eigvalsh(Y @ Y.T)[-1]) * (1.0 + 1e-8)
 
     def lower_bound(self):
         return 0.0

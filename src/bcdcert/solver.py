@@ -2,12 +2,16 @@
 
 One initial ``stationary_y`` call makes the certificate's standing hypothesis
 (grad_y = 0 at every measured iterate) true by construction; after that each
-iteration measures gradients at (x_t, y_t), applies the configured x-strategy,
+iteration measures grad_x at (x_t, y_t), applies the configured x-strategy,
 re-solves the y block, records the step, and folds it into the certificate.
 
-A strategy error mid-run does not discard the work: the partial history and
-an invalidated certificate come back on the RunResult with
-``stop_reason = ERROR`` and the exception attached.
+Each iterate is evaluated once: the x-strategy hands back the value of the
+point it moved to, and ``stationary_y`` the value and grad_y of the next
+iterate, so per iteration the solver itself only calls grad_x.
+
+An error from any oracle or strategy mid-run does not discard the work: the
+partial history and an invalidated certificate come back on the RunResult
+with ``stop_reason = ERROR`` and the exception attached.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificate import Certificate, IterationRecord, accumulate, check_step, verify_telescope
-from .errors import BcdcertError, NonFiniteValue
-from .problem import BlockPoint, Objective, evaluate
+from .errors import BcdcertError
+from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
 from .strategies import (
     BacktrackParams,
     backtracking_gradient_x,
@@ -105,7 +109,6 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     """Run certified BCD from ``start`` until grad_tol, max_iters, or error."""
     t_start = time.perf_counter()
     obj.check_point(start)
-    y_tol = _resolve_y_tol(obj, start, cfg)
 
     def abort(err, cert, history, point, check_tol):
         cert.invalidated = True
@@ -122,53 +125,51 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             error=err,
         )
 
-    init_residual = 0.0
-    try:
-        y0, init_residual = stationary_y(obj, start, y_tol)
-    except BcdcertError as err:
-        f0 = float(obj.value(start))
-        check_tol = cfg.check_tol or 1e-10 * max(1.0, abs(f0))
-        return abort(err, Certificate.fresh(f0), [], start, check_tol)
+    def resolve_check_tol(f0):
+        return cfg.check_tol if cfg.check_tol is not None else 1e-10 * max(1.0, abs(f0))
 
-    point = BlockPoint(start.x, y0)
-    f_cur, gx, gy = evaluate(obj, point)
-    check_tol = cfg.check_tol if cfg.check_tol is not None else 1e-10 * max(1.0, abs(f_cur))
+    y_tol = math.nan
+    init_residual = 0.0
+    f_cur = math.nan
+    try:
+        y_tol = _resolve_y_tol(obj, start, cfg)
+        f_cur = checked_value(obj, start)
+        point, init_residual, f_cur, gy = stationary_y(obj, start, f_cur, y_tol)
+    except BcdcertError as err:
+        return abort(err, Certificate.fresh(f_cur), [], start, resolve_check_tol(f_cur))
+
+    check_tol = resolve_check_tol(f_cur)
     cert = Certificate.fresh(f_cur)
     history: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS
     l_carry = cfg.backtrack.l_init
 
     for t in range(cfg.max_iters):
-        if t > 0:
-            _, gx, gy = evaluate(obj, point)
-        grad_norm = math.sqrt(float(gx @ gx) + float(gy @ gy))
-        if grad_norm <= cfg.grad_tol:
-            stop = StopReason.GRAD_TOL
-            break
         try:
+            gx = checked_grad(obj, point, "x")
+            gx_norm_sq = float(gx @ gx)
+            if math.sqrt(gx_norm_sq + float(gy @ gy)) <= cfg.grad_tol:
+                stop = StopReason.GRAD_TOL
+                break
             if cfg.x_strategy == "fixed_step":
-                upd = fixed_step_gradient_x(obj, point)
+                upd = fixed_step_gradient_x(obj, point, f_cur, gx)
             elif cfg.x_strategy == "exact_min":
-                upd = exact_min_x(obj, point)
+                upd = exact_min_x(obj, point, f_cur, gx)
             else:
                 # Monotone per-run estimate: never let the accepted constant
                 # shrink between outer iterations.
                 params = dataclasses.replace(cfg.backtrack, l_init=l_carry)
-                upd = backtracking_gradient_x(obj, point, params)
+                upd = backtracking_gradient_x(obj, point, f_cur, gx, params)
                 l_carry = upd.e_t
-            mid = point.with_x(upd.x_next)
-            f_after_x = float(obj.value(mid))
-            y_next, residual = stationary_y(obj, mid, y_tol)
+            point, residual, f_after_y, gy = stationary_y(obj, upd.point, upd.f_next, y_tol)
         except BcdcertError as err:
             return abort(err, cert, history, point, check_tol)
-        point = mid.with_y(y_next)
-        f_after_y = float(obj.value(point))
         rec = IterationRecord(
             t=t,
             f_before=f_cur,
-            f_after_x=f_after_x,
+            f_after_x=upd.f_next,
             f_after_y=f_after_y,
-            gx_norm_sq=float(gx @ gx),
+            gx_norm_sq=gx_norm_sq,
             gy_residual=residual,
             e_t=upd.e_t,
         )
@@ -210,41 +211,34 @@ def solve_gd_baseline(
 
     point = start
     f_cur, gx, gy = evaluate(obj, point)
-    f0 = f_cur
-    check_tol = 1e-10 * max(1.0, abs(f0))
-    cert = Certificate.fresh(f0)
+    check_tol = 1e-10 * max(1.0, abs(f_cur))
+    cert = Certificate.fresh(f_cur)
     history: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS
     error: BcdcertError | None = None
 
     for t in range(max_iters):
         try:
-            if t > 0:
-                _, gx, gy = evaluate(obj, point)
-                f_cur = history[-1].f_after_y
-            nxt = full_gradient_step(obj, point, step)
-            f_next = float(obj.value(nxt))
-            if not math.isfinite(f_next):
-                raise NonFiniteValue(f"baseline diverged at iteration {t}")
+            nxt = full_gradient_step(point, gx, gy, step)
+            f_next, gx_next, gy_next = evaluate(obj, nxt)
         except BcdcertError as err:
             error = err
             stop = StopReason.ERROR
             cert.invalidated = True
             break
-        g_sq = float(gx @ gx) + float(gy @ gy)
         rec = IterationRecord(
             t=t,
             f_before=f_cur,
             f_after_x=f_next,
             f_after_y=f_next,
-            gx_norm_sq=g_sq,
+            gx_norm_sq=float(gx @ gx) + float(gy @ gy),
             gy_residual=float(np.linalg.norm(gy)),
             e_t=e_t,
         )
         check_step(rec, check_tol)
         cert = accumulate(cert, rec)
         history.append(rec)
-        point = nxt
+        point, f_cur, gx, gy = nxt, f_next, gx_next, gy_next
 
     verify_telescope(cert, check_tol)
     return RunResult(

@@ -1,17 +1,22 @@
 """Block update rules.
 
-Each x-strategy returns an :class:`XUpdateResult` whose ``e_t`` certifies the
-sufficient-decrease condition
+Each x-strategy takes the current point ``p`` together with ``f = f(p)`` and
+``gx = grad_x f(p)``, already measured and checked by the caller, and
+returns an :class:`XUpdateResult`: the trial point it valued, that value, and
+the ``e_t`` certifying the sufficient-decrease condition
 
     f(x_t, y_t) - f(x_{t+1}, y_t) >= ||grad_x f(x_t, y_t)||^2 / (2 e_t)
 
-for the step it just took. A strategy that cannot honor its own certificate
-raises (never silently repairs): a violated guarantee means the caller's
-oracle is wrong, and that is a bug to surface.
+for the step it just took. ``stationary_y`` likewise takes ``f(p)`` and
+returns the value and ``grad_y`` at the point it lands on, so no number the
+solver needs is computed twice. A strategy that cannot honor its own
+certificate raises (never silently repairs): a violated guarantee means the
+caller's oracle is wrong, and that is a bug to surface.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +29,7 @@ from .errors import (
     NonFiniteValue,
     SufficientDecreaseViolated,
 )
-from .problem import BlockPoint, Objective
+from .problem import BlockPoint, Objective, checked_grad, checked_value
 
 # Additive slack for decrease checks, scaled by max(1, |f|) so it behaves for
 # both tiny and large objective magnitudes.
@@ -35,9 +40,15 @@ _INNER_CAP = 50_000
 
 @dataclass
 class XUpdateResult:
-    """One certified x-block update: new x, the constant e_t, oracle-call count."""
+    """One certified x-block update.
 
-    x_next: np.ndarray
+    ``point`` is (x_{t+1}, y_t), ``f_next`` the objective value there,
+    ``e_t`` the certified constant and ``inner_evals`` the number of
+    ``value`` calls the update made (its trial points).
+    """
+
+    point: BlockPoint
+    f_next: float
     e_t: float
     inner_evals: int
 
@@ -63,7 +74,23 @@ def _slack(f: float) -> float:
     return DECREASE_SLACK * max(1.0, abs(f))
 
 
-def fixed_step_gradient_x(obj: Objective, p: BlockPoint) -> XUpdateResult:
+def _positive_lipschitz(lip) -> float:
+    lip = float(lip)
+    if not (math.isfinite(lip) and lip > 0):
+        raise NonFiniteValue(f"lipschitz_x returned {lip!r}")
+    return lip
+
+
+def _verify_decrease(f: float, f_next: float, gx: np.ndarray, lip: float, culprit: str):
+    need = float(gx @ gx) / (2.0 * lip)
+    if f - f_next < need - _slack(f):
+        raise SufficientDecreaseViolated(
+            f"decrease {f - f_next:.6g} < required {need:.6g} with declared "
+            f"L={lip:.6g}; {culprit} oracle is wrong"
+        )
+
+
+def fixed_step_gradient_x(obj: Objective, p: BlockPoint, f: float, gx: np.ndarray) -> XUpdateResult:
     """Gradient step x - (1/L) grad_x with the oracle's L(y); e_t = L(y).
 
     Verifies the achieved decrease against ||grad_x||^2 / (2L) and raises
@@ -72,27 +99,14 @@ def fixed_step_gradient_x(obj: Objective, p: BlockPoint) -> XUpdateResult:
     lip = obj.lipschitz_x(p.y)
     if lip is None:
         raise MissingLipschitzOracle("fixed-step update needs obj.lipschitz_x(y)")
-    lip = float(lip)
-    if not (np.isfinite(lip) and lip > 0):
-        raise NonFiniteValue(f"lipschitz_x returned {lip!r}")
-
-    f0 = float(obj.value(p))
-    gx = np.asarray(obj.grad_x(p), dtype=float).ravel()
-    if not (np.isfinite(f0) and np.all(np.isfinite(gx))):
-        raise NonFiniteValue("oracle non-finite at the current point")
-    x_next = p.x - gx / lip
-    f1 = float(obj.value(p.with_x(x_next)))
-    if not np.isfinite(f1):
-        raise NonFiniteValue("trial point left the finite domain")
-    need = float(gx @ gx) / (2.0 * lip)
-    if f0 - f1 < need - _slack(f0):
-        raise SufficientDecreaseViolated(
-            f"decrease {f0 - f1:.6g} < required {need:.6g} with declared L={lip:.6g}"
-        )
-    return XUpdateResult(x_next, lip, inner_evals=3)
+    lip = _positive_lipschitz(lip)
+    point = p.with_x(p.x - gx / lip)
+    f_next = checked_value(obj, point)
+    _verify_decrease(f, f_next, gx, lip, "lipschitz_x")
+    return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
-def exact_min_x(obj: Objective, p: BlockPoint) -> XUpdateResult:
+def exact_min_x(obj: Objective, p: BlockPoint, f: float, gx: np.ndarray) -> XUpdateResult:
     """x_{t+1} = argmin_x f(x, y_t); e_t = L(y_t).
 
     The exact minimizer decreases f at least as much as the 1/L gradient step,
@@ -104,25 +118,16 @@ def exact_min_x(obj: Objective, p: BlockPoint) -> XUpdateResult:
     x_next = obj.exact_min_x(p.y)
     if x_next is None:
         raise MissingExactMinimizer("objective provides no exact_min_x oracle")
-    lip = float(lip)
-    x_next = np.asarray(x_next, dtype=float).ravel()
-    if not np.all(np.isfinite(x_next)):
-        raise NonFiniteValue("exact_min_x produced non-finite entries")
-
-    f0 = float(obj.value(p))
-    gx = np.asarray(obj.grad_x(p), dtype=float).ravel()
-    f1 = float(obj.value(p.with_x(x_next)))
-    need = float(gx @ gx) / (2.0 * lip)
-    if f0 - f1 < need - _slack(f0):
-        raise SufficientDecreaseViolated(
-            f"argmin decrease {f0 - f1:.6g} < required {need:.6g}; "
-            "exact_min_x or lipschitz_x oracle is wrong"
-        )
-    return XUpdateResult(x_next, lip, inner_evals=3)
+    lip = _positive_lipschitz(lip)
+    point = p.with_x(x_next)
+    obj.check_point(point)
+    f_next = checked_value(obj, point)
+    _verify_decrease(f, f_next, gx, lip, "exact_min_x or lipschitz_x")
+    return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
 def backtracking_gradient_x(
-    obj: Objective, p: BlockPoint, params: BacktrackParams
+    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, params: BacktrackParams
 ) -> XUpdateResult:
     """Grow a Lipschitz estimate until the trial step certifies the condition.
 
@@ -131,25 +136,19 @@ def backtracking_gradient_x(
     estimate. A non-finite trial value counts as a rejection (the step
     overshot the finite domain; growing L̂ recovers).
     """
-    f0 = float(obj.value(p))
-    gx = np.asarray(obj.grad_x(p), dtype=float).ravel()
-    if not (np.isfinite(f0) and np.all(np.isfinite(gx))):
-        raise NonFiniteValue("oracle non-finite at the current point")
     g_sq = float(gx @ gx)
-    evals = 2
     if g_sq == 0.0:
-        return XUpdateResult(p.x.copy(), params.l_init, evals)
+        return XUpdateResult(p, f, params.l_init, 0)
 
     l_hat = params.l_init
-    for _ in range(params.max_rejects + 1):
-        x_try = p.x - gx / l_hat
-        f_try = float(obj.value(BlockPoint(x_try, p.y)))
-        evals += 1
+    for trials in range(1, params.max_rejects + 2):
+        trial = p.with_x(p.x - gx / l_hat)
+        f_try = float(obj.value(trial))
         # The slack keeps tiny gradients workable: once ||g||^2/(2L) falls
         # under the roundoff of the f subtraction, an exact test would
         # reject every estimate and exhaust.
-        if np.isfinite(f_try) and f0 - f_try >= g_sq / (2.0 * l_hat) - _slack(f0):
-            return XUpdateResult(x_try, l_hat, evals)
+        if math.isfinite(f_try) and f - f_try >= g_sq / (2.0 * l_hat) - _slack(f):
+            return XUpdateResult(trial, f_try, l_hat, trials)
         l_hat *= params.growth
     raise BacktrackExhausted(
         f"no acceptable step after {params.max_rejects} rejections "
@@ -157,78 +156,72 @@ def backtracking_gradient_x(
     )
 
 
-def _inner_descent_y(obj, p, tol):
-    """Fallback when no exact y minimizer exists: certified descent on y alone."""
-    y = p.y
+def _inner_descent_y(obj, p, f, tol):
+    """Fallback when no exact y minimizer exists: certified descent on y alone.
+
+    Starts from ``p`` with ``f = f(p)``; returns (point, residual, f, grad_y)
+    at the first point whose residual is within tol.
+    """
+    point = p
     l_hat = 1.0
     for _ in range(_INNER_CAP):
-        point = p.with_y(y)
-        gy = np.asarray(obj.grad_y(point), dtype=float).ravel()
-        if not np.all(np.isfinite(gy)):
-            raise NonFiniteValue("grad_y non-finite during inner y descent")
+        gy = checked_grad(obj, point, "y")
         res = float(np.linalg.norm(gy))
         if res <= tol:
-            return y, res
-        f_cur = float(obj.value(point))
+            return point, res, f, gy
         g_sq = float(gy @ gy)
-        accepted = False
         for _ in range(200):
-            y_try = y - gy / l_hat
-            f_try = float(obj.value(p.with_y(y_try)))
+            trial = point.with_y(point.y - gy / l_hat)
+            f_try = float(obj.value(trial))
             # Slack matters here: near stationarity the true decrease is
             # ~||gy||^2/l, far below the roundoff of the f subtraction.
-            if np.isfinite(f_try) and f_cur - f_try >= g_sq / (2.0 * l_hat) - _slack(f_cur):
-                y = y_try
-                accepted = True
+            if math.isfinite(f_try) and f - f_try >= g_sq / (2.0 * l_hat) - _slack(f):
+                point, f = trial, f_try
                 break
             l_hat *= 2.0
-        if not accepted:
+        else:
             raise InnerSolveFailed("inner y-descent line search exhausted")
     raise InnerSolveFailed(f"y residual above {tol:.3g} after {_INNER_CAP} inner steps")
 
 
-def stationary_y(obj: Objective, p: BlockPoint, tol: float):
+def stationary_y(obj: Objective, p: BlockPoint, f_before: float, tol: float):
     """Drive the y block to (numerical) stationarity at fixed x.
 
-    Uses the exact minimizer when the objective provides one, otherwise an
-    inner certified-descent loop. Returns (y_next, residual) where residual is
-    ||grad_y(x, y_next)||; it is recorded rather than hidden so the
-    certificate can expose inexact solves. Never increases f.
+    ``f_before`` is f(p). Uses the exact minimizer when the objective
+    provides one, otherwise an inner certified-descent loop. Returns
+    (point, residual, f_after, grad_y) at the new point, where residual is
+    ||grad_y||; it is recorded rather than hidden so the certificate can
+    expose inexact solves. Never increases f.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     obj.check_point(p)
     if obj.n_y == 0:
-        return np.zeros(0), 0.0
+        return p, 0.0, f_before, np.zeros(0)
 
     y_exact = obj.exact_min_y(p.x)
     if y_exact is not None:
-        y_next = np.asarray(y_exact, dtype=float).ravel()
-        if not np.all(np.isfinite(y_next)):
-            raise NonFiniteValue("exact_min_y produced non-finite entries")
-        residual = float(np.linalg.norm(obj.grad_y(p.with_y(y_next))))
+        point = p.with_y(y_exact)
+        obj.check_point(point)
+        gy = checked_grad(obj, point, "y")
+        residual = float(np.linalg.norm(gy))
         if residual > tol:
             raise InnerSolveFailed(
                 f"exact_min_y left residual {residual:.3g} > tol {tol:.3g}"
             )
+        f_after = checked_value(obj, point)
     else:
-        y_next, residual = _inner_descent_y(obj, p, tol)
+        point, residual, f_after, gy = _inner_descent_y(obj, p, f_before, tol)
 
-    f_before = float(obj.value(p))
-    f_after = float(obj.value(p.with_y(y_next)))
     if f_after > f_before + _slack(f_before):
         raise InnerSolveFailed(
             f"y update increased f from {f_before:.6g} to {f_after:.6g}"
         )
-    return y_next, residual
+    return point, residual, f_after, gy
 
 
-def full_gradient_step(obj: Objective, p: BlockPoint, step: float) -> BlockPoint:
-    """Joint gradient step on both blocks; baseline only, certifies nothing."""
+def full_gradient_step(p: BlockPoint, gx: np.ndarray, gy: np.ndarray, step: float) -> BlockPoint:
+    """Joint gradient step on both blocks from gradients measured at p; baseline only."""
     if step < 0:
         raise ValueError("step must be nonnegative")
-    gx = np.asarray(obj.grad_x(p), dtype=float).ravel()
-    gy = np.asarray(obj.grad_y(p), dtype=float).ravel()
-    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(gy))):
-        raise NonFiniteValue("gradient non-finite at the current point")
     return BlockPoint(p.x - step * gx, p.y - step * gy)

@@ -16,7 +16,7 @@ import pytest
 from bcdcert.certificate import IterationRecord, fit_rate
 from bcdcert.cli import main as cli_main
 from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
-from bcdcert.problem import BlockPoint
+from bcdcert.problem import BlockPoint, evaluate
 from bcdcert.problems import (
     ProblemSpec,
     TightQuadratic,
@@ -203,9 +203,9 @@ def test_criterion_6_exact_min_dominates_fixed_step():
     for s in range(20):
         obj = make_problem(ProblemSpec("coupled_quadratic", seed=s, params={"n_x": 5, "n_y": 4}))
         p = random_start(obj, seed=700 + s)
-        f_p = float(obj.value(p))
-        d_exact = f_p - float(obj.value(p.with_x(exact_min_x(obj, p).x_next)))
-        d_fixed = f_p - float(obj.value(p.with_x(fixed_step_gradient_x(obj, p).x_next)))
+        f_p, gx, _ = evaluate(obj, p)
+        d_exact = f_p - float(obj.value(p.with_x(exact_min_x(obj, p, f_p, gx).point.x)))
+        d_fixed = f_p - float(obj.value(p.with_x(fixed_step_gradient_x(obj, p, f_p, gx).point.x)))
         if d_exact < d_fixed - 1e-12:
             failures.append(f"seed {s}: exact {d_exact!r} < fixed {d_fixed!r}")
     announce(6, "exact minimization dominates the fixed step", failures, t0, budget=5.0)
@@ -217,13 +217,13 @@ def test_criterion_7_backtracking_constants():
 
     # hand-derived doubling chain: estimates 1 and 2 rejected, 4 accepted
     obj = TightQuadratic(4.0, [1.0], [4.0])
-    res = backtracking_gradient_x(
-        obj, BlockPoint([3.0], []), BacktrackParams(l_init=1.0, growth=2.0)
-    )
+    p = BlockPoint([3.0], [])
+    f_p, gx, _ = evaluate(obj, p)
+    res = backtracking_gradient_x(obj, p, f_p, gx, BacktrackParams(l_init=1.0, growth=2.0))
     if res.e_t != 4.0:
         failures.append(f"doubling chain accepted e_t {res.e_t!r}, expected exactly 4.0")
-    if abs(res.x_next[0]) > 1e-15:
-        failures.append(f"doubling chain step landed at {res.x_next!r}, expected [0.0]")
+    if abs(res.point.x[0]) > 1e-15:
+        failures.append(f"doubling chain step landed at {res.point.x!r}, expected [0.0]")
 
     # on random quadratics the accepted estimate never reaches 2x the true L
     for s in range(10):

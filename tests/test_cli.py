@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from bcdcert.cli import (
 from bcdcert.errors import ConfigError
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import CoupledQuadratic, make_problem
+from bcdcert.traceio import read_trace
 
 from conftest import zoo_problem
 
@@ -288,6 +293,44 @@ def test_run_baseline_divergence_is_recorded_not_fatal(tmp_path):
     assert summary["baseline"]["error"]["type"] == "NonFiniteValue"
     assert summary["baseline"]["stop_reason"] == "error"
     assert summary["certified"] is True
+
+
+def test_run_survives_an_oracle_that_breaks_mid_run(tmp_path):
+    # a real `bcdcert run` process whose objective's third grad_x is NaN:
+    # operational exit code, summary and partial trace written, no traceback
+    cfg = write_cfg(tmp_path, COUPLED)
+    out = str(tmp_path / "broken")
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    script = textwrap.dedent(
+        """
+        import sys
+        import bcdcert.cli as cli
+        from conftest import GradXTurnsNaN
+
+        make = cli.make_problem
+        cli.make_problem = lambda spec: GradXTurnsNaN(make(spec))
+        sys.argv = ["bcdcert"] + sys.argv[1:]
+        cli.entry()
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src_dir), str(tests_dir)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", cfg, "--out", out],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    summary = json.load(open(out + ".summary.json"))
+    assert summary["stop_reason"] == "error"
+    assert summary["error"]["type"] == "NonFiniteValue"
+    assert summary["certified"] is False
+    assert summary["T"] == 2
+    assert len(read_trace(out + ".trace.csv")) == 2
 
 
 def test_run_config_error_exit(tmp_path, capsys):

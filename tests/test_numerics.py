@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bcdcert.errors import DegenerateRegion
-from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x, spectral_norm
+from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import CoupledQuadratic, TightQuadratic
 
@@ -104,36 +104,3 @@ def test_probe_is_deterministic():
     b = probe_lipschitz_x(obj, y, (-2.0, 2.0), samples=60, seed=9)
     assert a == b
 
-
-# --- spectral norm ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_spectral_norm_matches_svd(seed):
-    rng = np.random.default_rng(seed)
-    m, n = rng.integers(1, 8, size=2)
-    M = rng.standard_normal((m, n))
-    want = np.linalg.norm(M, 2)
-    assert spectral_norm(M) == pytest.approx(want, rel=1e-9, abs=1e-12)
-
-
-def test_spectral_norm_tall_and_wide_agree():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((7, 3))
-    assert spectral_norm(M) == pytest.approx(spectral_norm(M.T), rel=1e-10)
-
-
-def test_spectral_norm_survives_ones_orthogonal_to_top_eigenvector():
-    # top eigenvector of [[2,-1],[-1,2]] is [1,-1]/sqrt(2): the all-ones start
-    # has zero overlap, so only the perturbation pass can find sigma = 3
-    M = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    assert spectral_norm(M) == pytest.approx(3.0, rel=1e-10)
-
-
-def test_spectral_norm_zero_matrix():
-    assert spectral_norm(np.zeros((3, 2))) == 0.0
-
-
-def test_spectral_norm_rank_one():
-    u = np.array([[3.0], [4.0]])  # sigma = 5 exactly
-    assert spectral_norm(u @ np.ones((1, 1))) == pytest.approx(5.0, rel=1e-12)

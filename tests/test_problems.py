@@ -7,7 +7,7 @@ from bcdcert.errors import (
     SingularSystem,
     UnknownFamily,
 )
-from bcdcert.numerics import fd_check_gradients, spectral_norm
+from bcdcert.numerics import fd_check_gradients
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import (
     FAMILY_NAMES,
@@ -250,7 +250,23 @@ class TestFactory:
             true = np.linalg.norm(y.reshape(obj.rank, obj.n), 2) ** 2
             assert obj.lipschitz_x(y) >= true
 
-    def test_spectral_norm_backs_mf_oracle(self):
-        rng = np.random.default_rng(7)
-        Y = rng.standard_normal((2, 3))
-        assert spectral_norm(Y) == pytest.approx(np.linalg.norm(Y, 2), rel=1e-10)
+    @pytest.mark.parametrize(
+        "Y",
+        [
+            np.random.default_rng(7).standard_normal((2, 3)),
+            np.random.default_rng(8).standard_normal((3, 5)) * 1e3,
+            np.zeros((2, 3)),
+            # orthonormal rows scaled by 3: both singular values are 3
+            3.0 * np.linalg.qr(np.random.default_rng(9).standard_normal((4, 2)))[0].T,
+            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            np.array([[2.0, -1.0], [-1.0, 2.0]]),
+        ],
+        ids=["random", "large", "zero", "repeated-scaled", "repeated-unit", "symmetric"],
+    )
+    def test_mf_lipschitz_is_padded_sigma_sq(self, Y):
+        r, n = Y.shape
+        obj = MatrixFactorization(np.ones((4, n)), r)
+        lip = obj.lipschitz_x(Y.ravel())
+        true = np.linalg.norm(Y, 2) ** 2
+        assert lip >= true
+        assert lip == pytest.approx(true, rel=1e-7)

@@ -5,6 +5,7 @@ import pytest
 
 from bcdcert.certificate import Certificate, accumulate
 from bcdcert.errors import (
+    DimensionMismatch,
     MissingLipschitzOracle,
     NonFiniteValue,
     SufficientDecreaseViolated,
@@ -18,7 +19,7 @@ from bcdcert.problems import (
 )
 from bcdcert.solver import RunResult, SolverConfig, StopReason, solve, solve_gd_baseline
 
-from conftest import ALL_COMBOS, zoo_problem, zoo_start
+from conftest import ALL_COMBOS, GradXTurnsNaN, zoo_problem, zoo_start
 
 
 def test_worked_chain_is_reproduced_exactly():
@@ -166,6 +167,61 @@ def test_partial_history_is_kept_on_mid_run_error():
     assert len(res.history) == 2
     assert res.certificate.invalidated
     assert res.certificate.num_steps == 2
+
+
+def test_oracle_failure_at_a_later_iterate_returns_partial_history():
+    # grad_x is called once per iterate, so the third call measures iterate 2:
+    # two steps are done and recorded when the oracle breaks
+    inner = zoo_problem("coupled_quadratic", seed=3)
+    obj = GradXTurnsNaN(inner, fail_at=3)
+    res = solve(obj, zoo_start(inner, 3), SolverConfig(max_iters=50))
+    assert res.stop_reason is StopReason.ERROR
+    assert isinstance(res.error, NonFiniteValue)
+    assert res.certificate.invalidated and not res.certificate.passed()
+    assert len(res.history) == res.certificate.num_steps == 2
+    assert all(r.suff_ok for r in res.history)
+    assert res.history[1].f_before == res.history[0].f_after_y
+    assert res.certificate.f_final == res.history[1].f_after_y
+    clean = solve(inner, zoo_start(inner, 3), SolverConfig(max_iters=2))
+    assert res.history == clean.history
+    assert res.final == clean.final
+
+
+class _BadAfterYSolve(CoupledQuadratic):
+    """Finite everywhere except the value at exact y-minimizers after the first."""
+
+    def __init__(self, base, what):
+        super().__init__(base.A, base.B, base.C, base.a, base.c)
+        self.what = what
+        self.solves = 0
+
+    def exact_min_y(self, x):
+        self.solves += 1
+        return super().exact_min_y(x)
+
+    def value(self, p):
+        f = super().value(p)
+        return float("nan") if self.what == "value" and self.solves >= 2 else f
+
+    def grad_y(self, p):
+        g = super().grad_y(p)
+        return g[:-1] if self.what == "grad_y" and self.solves >= 2 else g
+
+
+@pytest.mark.parametrize("what,error", [("value", NonFiniteValue), ("grad_y", DimensionMismatch)])
+def test_bad_oracle_after_the_y_solve_is_an_error_result(what, error):
+    base = zoo_problem("coupled_quadratic", seed=4)
+    res = solve(_BadAfterYSolve(base, what), zoo_start(base, 4), SolverConfig(max_iters=20))
+    assert res.stop_reason is StopReason.ERROR
+    assert isinstance(res.error, error)
+    assert res.history == [] and res.certificate.invalidated
+
+
+def test_non_finite_start_value_is_an_error_result():
+    res = solve(_WalledBowl(), BlockPoint([0.1]), SolverConfig())
+    assert res.stop_reason is StopReason.ERROR
+    assert isinstance(res.error, NonFiniteValue)
+    assert res.history == [] and res.certificate.invalidated
 
 
 def test_backtracking_estimate_never_shrinks_across_iterations():

@@ -3,13 +3,14 @@ import pytest
 
 from bcdcert.errors import (
     BacktrackExhausted,
+    DimensionMismatch,
     InnerSolveFailed,
     MissingExactMinimizer,
     MissingLipschitzOracle,
     NonFiniteValue,
     SufficientDecreaseViolated,
 )
-from bcdcert.problem import BlockPoint, Objective
+from bcdcert.problem import BlockPoint, Objective, evaluate
 from bcdcert.problems import (
     CoupledQuadratic,
     LipschitzOverride,
@@ -32,6 +33,12 @@ def tight():
     return TightQuadratic(4.0, [1.0], [4.0])
 
 
+def at(obj, p):
+    """(f, grad_x) at p, measured and checked as the solver hands them over."""
+    f, gx, _ = evaluate(obj, p)
+    return f, gx
+
+
 # --- fixed step -------------------------------------------------------------
 
 
@@ -40,10 +47,12 @@ def test_fixed_step_achieves_equality_on_the_model():
     # vertex and the decrease equals ||g||^2/(2L) to the last bit of algebra.
     obj = tight()
     p = BlockPoint([3.0])
-    upd = fixed_step_gradient_x(obj, p)
-    np.testing.assert_allclose(upd.x_next, [0.0])
+    upd = fixed_step_gradient_x(obj, p, *at(obj, p))
+    np.testing.assert_allclose(upd.point.x, [0.0])
     assert upd.e_t == 4.0
-    decrease = obj.value(p) - obj.value(p.with_x(upd.x_next))
+    assert upd.f_next == obj.value(upd.point)
+    assert upd.inner_evals == 1
+    decrease = obj.value(p) - obj.value(p.with_x(upd.point.x))
     need = float(obj.grad_x(p) @ obj.grad_x(p)) / (2.0 * 4.0)
     assert decrease == pytest.approx(need, rel=1e-12)
 
@@ -52,19 +61,22 @@ def test_fixed_step_rejects_a_lying_constant():
     # L declared at half the truth: the step doubles past the vertex and the
     # decrease on this symmetric quadratic is exactly zero.
     lying = LipschitzOverride(tight(), 2.0)
+    p = BlockPoint([3.0])
     with pytest.raises(SufficientDecreaseViolated):
-        fixed_step_gradient_x(lying, BlockPoint([3.0]))
+        fixed_step_gradient_x(lying, p, *at(lying, p))
 
 
 def test_fixed_step_needs_the_oracle():
+    obj, p = TwoBlockRosenbrock(), BlockPoint([0.0], [0.0])
     with pytest.raises(MissingLipschitzOracle):
-        fixed_step_gradient_x(TwoBlockRosenbrock(), BlockPoint([0.0], [0.0]))
+        fixed_step_gradient_x(obj, p, *at(obj, p))
 
 
 def test_fixed_step_accepts_overestimates():
     # a too-large constant is safe, just slower
     cautious = LipschitzOverride(tight(), 40.0)
-    upd = fixed_step_gradient_x(cautious, BlockPoint([3.0]))
+    p = BlockPoint([3.0])
+    upd = fixed_step_gradient_x(cautious, p, *at(cautious, p))
     assert upd.e_t == 40.0
 
 
@@ -73,9 +85,9 @@ def test_fixed_step_certifies_on_random_quadratics(seed):
     obj = zoo_problem("coupled_quadratic", seed=seed)
     rng = np.random.default_rng(seed)
     p = BlockPoint(rng.standard_normal(obj.n_x), rng.standard_normal(obj.n_y))
-    upd = fixed_step_gradient_x(obj, p)
+    upd = fixed_step_gradient_x(obj, p, *at(obj, p))
     f0 = obj.value(p)
-    f1 = obj.value(p.with_x(upd.x_next))
+    f1 = obj.value(p.with_x(upd.point.x))
     gx = obj.grad_x(p)
     assert f0 - f1 >= float(gx @ gx) / (2 * upd.e_t) - 1e-12 * max(1, abs(f0))
 
@@ -90,24 +102,28 @@ def test_exact_min_dominates_fixed_step(seed):
     rng = np.random.default_rng(seed)
     p = BlockPoint(rng.standard_normal(obj.n_x), rng.standard_normal(obj.n_y))
     f0 = obj.value(p)
-    d_exact = f0 - obj.value(p.with_x(exact_min_x(obj, p).x_next))
-    d_fixed = f0 - obj.value(p.with_x(fixed_step_gradient_x(obj, p).x_next))
+    d_exact = f0 - obj.value(p.with_x(exact_min_x(obj, p, *at(obj, p)).point.x))
+    d_fixed = f0 - obj.value(p.with_x(fixed_step_gradient_x(obj, p, *at(obj, p)).point.x))
     assert d_exact >= d_fixed - 1e-12
 
 
 def test_exact_min_reports_L_as_its_constant():
     obj = zoo_problem("coupled_quadratic", seed=0)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
-    assert exact_min_x(obj, p).e_t == obj.lipschitz_x(p.y)
+    upd = exact_min_x(obj, p, *at(obj, p))
+    assert upd.e_t == obj.lipschitz_x(p.y)
+    assert upd.f_next == obj.value(upd.point)
+    assert upd.inner_evals == 1
 
 
 def test_exact_min_requires_both_oracles():
+    obj, p = TwoBlockRosenbrock(), BlockPoint([0.0], [0.0])
     with pytest.raises(MissingLipschitzOracle):
-        exact_min_x(TwoBlockRosenbrock(), BlockPoint([0.0], [0.0]))
+        exact_min_x(obj, p, *at(obj, p))
 
-    singular = CoupledQuadratic([[0.0]], [[0.0]], [[1.0]])
+    singular, p = CoupledQuadratic([[0.0]], [[0.0]], [[1.0]]), BlockPoint([1.0], [1.0])
     with pytest.raises(MissingExactMinimizer):
-        exact_min_x(singular, BlockPoint([1.0], [1.0]))
+        exact_min_x(singular, p, *at(singular, p))
 
 
 class _ArgminLiar(Objective):
@@ -132,8 +148,41 @@ class _ArgminLiar(Objective):
 
 
 def test_exact_min_catches_a_lying_argmin():
+    obj, p = _ArgminLiar(), BlockPoint([3.0])
     with pytest.raises(SufficientDecreaseViolated):
-        exact_min_x(_ArgminLiar(), BlockPoint([3.0]))
+        exact_min_x(obj, p, *at(obj, p))
+
+
+class _ArgminOffTheDomain(_ArgminLiar):
+    """value is NaN at the claimed minimizer; exact_min_x's size is settable."""
+
+    def __init__(self, x_star=(100.0,), lip=2.0):
+        self.x_star = np.array(x_star)
+        self.lip = lip
+
+    def value(self, p):
+        return float("nan") if p.x[0] == 100.0 else float(p.x[0] ** 2)
+
+    def lipschitz_x(self, y):
+        return self.lip
+
+    def exact_min_x(self, y):
+        return self.x_star
+
+
+@pytest.mark.parametrize(
+    "obj,error",
+    [
+        (_ArgminOffTheDomain(), NonFiniteValue),
+        (_ArgminOffTheDomain(x_star=(0.0, 0.0)), DimensionMismatch),
+        (_ArgminOffTheDomain(x_star=(0.0,), lip=0.0), NonFiniteValue),
+    ],
+    ids=["nan-value", "wrong-size", "zero-lipschitz"],
+)
+def test_exact_min_checks_what_it_hands_back(obj, error):
+    p = BlockPoint([3.0])
+    with pytest.raises(error):
+        exact_min_x(obj, p, *at(obj, p))
 
 
 # --- backtracking -----------------------------------------------------------
@@ -143,28 +192,29 @@ def test_backtracking_doubling_chain_lands_on_L():
     # from l=1 on the L=4 model: trials at 1 and 2 both fail the test
     # (decrease -144 and 0 against requirements 72 and 36), 4 accepts with
     # decrease == requirement == 18
-    obj = tight()
-    upd = backtracking_gradient_x(obj, BlockPoint([3.0]), BacktrackParams())
+    obj, p = tight(), BlockPoint([3.0])
+    upd = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams())
     assert upd.e_t == 4.0
-    np.testing.assert_allclose(upd.x_next, [0.0])
-    assert upd.inner_evals == 5  # f0+grad, then three trial evaluations
+    np.testing.assert_allclose(upd.point.x, [0.0])
+    assert upd.inner_evals == 3  # three trial evaluations; f and grad come in
+    assert upd.f_next == obj.value(upd.point)
 
 
 def test_backtracking_accepts_immediately_when_l_init_suffices():
-    obj = tight()
-    upd = backtracking_gradient_x(
-        obj, BlockPoint([3.0]), BacktrackParams(l_init=4.0)
-    )
+    obj, p = tight(), BlockPoint([3.0])
+    upd = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams(l_init=4.0))
     assert upd.e_t == 4.0
-    assert upd.inner_evals == 3
+    assert upd.inner_evals == 1
 
 
 def test_backtracking_zero_gradient_short_circuits():
     obj = tight()
     p = BlockPoint([0.0])  # the unconstrained minimizer
-    upd = backtracking_gradient_x(obj, p, BacktrackParams(l_init=7.0))
-    np.testing.assert_array_equal(upd.x_next, p.x)
+    f, gx = at(obj, p)
+    upd = backtracking_gradient_x(obj, p, f, gx, BacktrackParams(l_init=7.0))
+    np.testing.assert_array_equal(upd.point.x, p.x)
     assert upd.e_t == 7.0
+    assert upd.f_next == f and upd.inner_evals == 0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -176,7 +226,7 @@ def test_backtracking_stays_under_twice_the_truth(seed):
     assert true_l >= 1.0  # the diagonally dominant construction guarantees it
     rng = np.random.default_rng(seed)
     p = BlockPoint(rng.standard_normal(obj.n_x), rng.standard_normal(obj.n_y))
-    upd = backtracking_gradient_x(obj, p, BacktrackParams())
+    upd = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams())
     assert upd.e_t < 2.0 * true_l
 
 
@@ -196,10 +246,9 @@ class _NeverDecreases(Objective):
 
 
 def test_backtracking_exhaustion():
+    obj, p = _NeverDecreases(), BlockPoint([0.0])
     with pytest.raises(BacktrackExhausted):
-        backtracking_gradient_x(
-            _NeverDecreases(), BlockPoint([0.0]), BacktrackParams(max_rejects=5)
-        )
+        backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams(max_rejects=5))
 
 
 class _WalledQuadratic(Objective):
@@ -222,9 +271,9 @@ class _WalledQuadratic(Objective):
 
 
 def test_backtracking_treats_non_finite_trials_as_rejections():
-    obj = _WalledQuadratic()
-    upd = backtracking_gradient_x(obj, BlockPoint([9.0]), BacktrackParams())
-    assert np.isfinite(obj.value(BlockPoint(upd.x_next)))
+    obj, p = _WalledQuadratic(), BlockPoint([9.0])
+    upd = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams())
+    assert np.isfinite(obj.value(BlockPoint(upd.point.x)))
     assert upd.e_t > 1.0  # at least one overshooting trial was rejected
 
 
@@ -244,16 +293,20 @@ def test_stationary_y_exact_path():
     obj = zoo_problem("coupled_quadratic", seed=5)
     rng = np.random.default_rng(5)
     p = BlockPoint(rng.standard_normal(obj.n_x), rng.standard_normal(obj.n_y))
-    y_next, res = stationary_y(obj, p, tol=1e-10)
+    q, res, f_after, gy = stationary_y(obj, p, obj.value(p), tol=1e-10)
     assert res <= 1e-10
-    assert np.linalg.norm(obj.grad_y(p.with_y(y_next))) == res
-    assert obj.value(p.with_y(y_next)) <= obj.value(p)
+    np.testing.assert_array_equal(q.x, p.x)
+    assert np.linalg.norm(obj.grad_y(q)) == res
+    np.testing.assert_array_equal(gy, obj.grad_y(q))
+    assert f_after == obj.value(q)
+    assert obj.value(q) <= obj.value(p)
 
 
 def test_stationary_y_empty_block():
-    obj = tight()
-    y_next, res = stationary_y(obj, BlockPoint([3.0]), tol=1e-10)
-    assert y_next.shape == (0,) and res == 0.0
+    obj, p = tight(), BlockPoint([3.0])
+    q, res, f_after, gy = stationary_y(obj, p, obj.value(p), tol=1e-10)
+    assert q.y.shape == (0,) and res == 0.0
+    assert q == p and f_after == obj.value(p) and gy.shape == (0,)
 
 
 class _HiddenMinimizer(CoupledQuadratic):
@@ -267,9 +320,11 @@ def test_stationary_y_inner_descent_fallback():
     base = zoo_problem("coupled_quadratic", seed=6)
     obj = _HiddenMinimizer(base.A, base.B, base.C, base.a, base.c)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
-    y_next, res = stationary_y(obj, p, tol=1e-8)
+    q, res, f_after, gy = stationary_y(obj, p, obj.value(p), tol=1e-8)
     assert res <= 1e-8
-    assert obj.value(p.with_y(y_next)) <= obj.value(p)
+    assert f_after == obj.value(q)
+    np.testing.assert_array_equal(gy, obj.grad_y(q))
+    assert obj.value(q) <= obj.value(p)
 
 
 class _WrongMinimizer(CoupledQuadratic):
@@ -280,13 +335,14 @@ class _WrongMinimizer(CoupledQuadratic):
 def test_stationary_y_rejects_a_wrong_exact_minimizer():
     base = zoo_problem("coupled_quadratic", seed=7)
     obj = _WrongMinimizer(base.A, base.B, base.C, base.a, base.c)
+    p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
     with pytest.raises(InnerSolveFailed):
-        stationary_y(obj, BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y)), tol=1e-10)
+        stationary_y(obj, p, obj.value(p), tol=1e-10)
 
 
 def test_stationary_y_tol_validation():
     with pytest.raises(ValueError):
-        stationary_y(tight(), BlockPoint([1.0]), tol=0.0)
+        stationary_y(tight(), BlockPoint([1.0]), 0.0, tol=0.0)
 
 
 class _NaNMinimizer(CoupledQuadratic):
@@ -297,8 +353,22 @@ class _NaNMinimizer(CoupledQuadratic):
 def test_stationary_y_rejects_non_finite_minimizer():
     base = zoo_problem("coupled_quadratic", seed=8)
     obj = _NaNMinimizer(base.A, base.B, base.C, base.a, base.c)
+    p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
     with pytest.raises(NonFiniteValue):
-        stationary_y(obj, BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y)), tol=1e-10)
+        stationary_y(obj, p, obj.value(p), tol=1e-10)
+
+
+class _NaNGradY(CoupledQuadratic):
+    def grad_y(self, p):
+        return np.full(self.n_y, np.nan)
+
+
+def test_stationary_y_rejects_non_finite_grad_y():
+    base = zoo_problem("coupled_quadratic", seed=9)
+    obj = _NaNGradY(base.A, base.B, base.C, base.a, base.c)
+    p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
+    with pytest.raises(NonFiniteValue):
+        stationary_y(obj, p, obj.value(p), tol=1e-10)
 
 
 # --- baseline step ----------------------------------------------------------
@@ -307,7 +377,7 @@ def test_stationary_y_rejects_non_finite_minimizer():
 def test_full_gradient_step_hand_check():
     obj = CoupledQuadratic([[1.0]], [[1.0]], [[2.0]])
     p = BlockPoint([1.0], [1.0])
-    q = full_gradient_step(obj, p, step=0.1)
+    q = full_gradient_step(p, obj.grad_x(p), obj.grad_y(p), step=0.1)
     # grad_x = 1+1 = 2, grad_y = 1+2 = 3
     np.testing.assert_allclose(q.x, [1.0 - 0.2])
     np.testing.assert_allclose(q.y, [1.0 - 0.3])
@@ -316,10 +386,11 @@ def test_full_gradient_step_hand_check():
 def test_full_gradient_step_zero_is_identity():
     obj = CoupledQuadratic([[1.0]], [[1.0]], [[2.0]])
     p = BlockPoint([1.0], [1.0])
-    assert full_gradient_step(obj, p, 0.0) == p
+    assert full_gradient_step(p, obj.grad_x(p), obj.grad_y(p), 0.0) == p
 
 
 def test_full_gradient_step_rejects_negative():
     obj = CoupledQuadratic([[1.0]], [[1.0]], [[2.0]])
+    p = BlockPoint([1.0], [1.0])
     with pytest.raises(ValueError):
-        full_gradient_step(obj, BlockPoint([1.0], [1.0]), -0.1)
+        full_gradient_step(p, obj.grad_x(p), obj.grad_y(p), -0.1)
