@@ -9,11 +9,8 @@ rate bound along the actual run.
 from .certificate import (
     Certificate,
     IterationRecord,
-    accumulate,
-    check_step,
     fit_rate,
     min_grad_bound,
-    verify_telescope,
 )
 from .errors import (
     BacktrackExhausted,
@@ -41,7 +38,7 @@ from .numerics import (
     fd_check_gradients,
     probe_lipschitz_x,
 )
-from .problem import BlockPoint, Objective, evaluate
+from .problem import BlockPoint, Objective
 from .problems import (
     FAMILY_NAMES,
     CoupledQuadratic,
@@ -61,14 +58,12 @@ from .strategies import (
     backtracking_gradient_x,
     exact_min_x,
     fixed_step_gradient_x,
-    full_gradient_step,
     stationary_y,
 )
 from .traceio import (
     TRACE_HEADER,
     TraceRow,
     TraceVerdict,
-    fold_records,
     read_trace,
     verify_trace,
     write_trace,
@@ -116,16 +111,11 @@ __all__ = [
     "TwoBlockRosenbrock",
     "UnknownFamily",
     "XUpdateResult",
-    "accumulate",
     "backtracking_gradient_x",
-    "check_step",
-    "evaluate",
     "exact_min_x",
     "fd_check_gradients",
     "fit_rate",
     "fixed_step_gradient_x",
-    "fold_records",
-    "full_gradient_step",
     "joint_solve_oracle",
     "make_problem",
     "min_grad_bound",
@@ -135,7 +125,6 @@ __all__ = [
     "solve",
     "solve_gd_baseline",
     "stationary_y",
-    "verify_telescope",
     "verify_trace",
     "write_trace",
 ]

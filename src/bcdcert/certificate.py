@@ -96,13 +96,32 @@ class Certificate:
         return self.all_steps_ok and self.telescope_ok and not self.invalidated
 
 
+def check_tol_for(f0: float) -> float:
+    """The run's one tolerance, 1e-10 * max(1, |f0|), from its first value.
+
+    Strategies accept steps, and the certificate and trace audit check them,
+    against this number; a trace carries f0 in its first row, so the audit
+    recovers it from the file alone.
+    """
+    return 1e-10 * max(1.0, abs(f0))
+
+
+def sufficient_decrease(f: float, f_next: float, g_sq: float, e: float, tol: float) -> bool:
+    """f - f_next >= g_sq / (2 e) - tol: the per-step inequality, within tol.
+
+    The one decrease test: strategies accept a step with it and
+    ``check_step`` certifies the step with it, so both decide alike.
+    """
+    return f - f_next >= g_sq / (2.0 * e) - tol
+
+
 def check_step(rec: IterationRecord, tol: float) -> bool:
     """Verify one step: certified x-decrease and monotone y-step, within tol.
 
     Sets ``rec.suff_ok`` and returns it. A failed check is a False, never a
     crash; the caller decides what a broken step means.
     """
-    decrease_ok = rec.f_before - rec.f_after_x >= rec.gx_norm_sq / (2.0 * rec.e_t) - tol
+    decrease_ok = sufficient_decrease(rec.f_before, rec.f_after_x, rec.gx_norm_sq, rec.e_t, tol)
     monotone_ok = rec.f_after_y <= rec.f_after_x + tol
     rec.suff_ok = bool(decrease_ok and monotone_ok)
     return rec.suff_ok

@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .certificate import min_grad_bound
+from .certificate import check_tol_for, min_grad_bound
 from .errors import (
     BcdcertError,
     ConfigError,
@@ -47,7 +47,7 @@ from .problems import (
 )
 from .solver import SolverConfig, StopReason, solve, solve_gd_baseline
 from .strategies import BacktrackParams
-from .traceio import read_trace, verify_trace, write_json, write_trace, write_trace_json
+from .traceio import read_trace, verify_trace, write_json, write_trace
 
 _SECTIONS = ("problem", "solver", "output", "baseline")
 
@@ -62,7 +62,6 @@ _SOLVER_KEYS = (
     "x_strategy",
     "grad_tol",
     "y_tol",
-    "check_tol",
     "max_iters",
     "seed",
     "start_x",
@@ -114,7 +113,6 @@ class RunConfig:
     start_x: list[float] | None
     start_y: list[float] | None
     out_prefix: str
-    out_format: str
     baseline_step: float | None
     baseline_iters: int
 
@@ -169,7 +167,6 @@ def parse_config(path: str) -> RunConfig:
             grad_tol=_take(sol, "solver", "grad_tol", "float", 1e-9),
             max_iters=_take(sol, "solver", "max_iters", "int", 1000),
             backtrack=bt,
-            check_tol=_take(sol, "solver", "check_tol", "float"),
             seed=_take(sol, "solver", "seed", "int", 0),
         )
     except ValueError as exc:
@@ -177,9 +174,6 @@ def parse_config(path: str) -> RunConfig:
 
     out = dict(cp.items("output")) if cp.has_section("output") else {}
     prefix = out.pop("prefix", "run")
-    fmt = out.pop("format", "csv")
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"[output] format must be csv, json, or both, got {fmt!r}")
     if out:
         raise ConfigError(f"[output] unknown keys: {', '.join(sorted(out))}")
 
@@ -201,7 +195,6 @@ def parse_config(path: str) -> RunConfig:
         start_x=start_x,
         start_y=start_y,
         out_prefix=prefix,
-        out_format=fmt,
         baseline_step=baseline_step,
         baseline_iters=baseline_iters,
     )
@@ -250,7 +243,6 @@ def _error_payload(err: BcdcertError | None):
 
 def _summarize(cfg: RunConfig, result) -> dict:
     cert = result.certificate
-    obj_lower = None
     summary = {
         "family": cfg.spec.family,
         "x_strategy": cfg.solver.x_strategy,
@@ -294,20 +286,14 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
         _num(result.certificate.f_final - lower) if lower is not None else None
     )
 
-    trace_files = []
-    if cfg.out_format in ("csv", "both"):
-        path = cfg.out_prefix + ".trace.csv"
-        write_trace(path, result.history, result.check_tol)
-        trace_files.append(path)
-    if cfg.out_format in ("json", "both"):
-        path = cfg.out_prefix + ".trace.json"
-        write_trace_json(path, result.history, result.check_tol)
-        trace_files.append(path)
+    trace_path = cfg.out_prefix + ".trace.csv"
+    write_trace(trace_path, result.history)
+    trace_files = [trace_path]
 
     if cfg.baseline_step is not None:
         base = solve_gd_baseline(obj, start, cfg.baseline_step, cfg.baseline_iters)
         base_path = cfg.out_prefix + ".baseline.trace.csv"
-        write_trace(base_path, base.history, base.check_tol)
+        write_trace(base_path, base.history)
         trace_files.append(base_path)
         summary["baseline"] = {
             "step": cfg.baseline_step,
@@ -391,7 +377,7 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
             base = max(1.0, float(np.linalg.norm(grad(p))))
             worst_res = max(worst_res, res / base)
             f_p = float(obj.value(p))
-            if res > 1e-10 * base or float(obj.value(q)) > f_p + 1e-10 * max(1.0, abs(f_p)):
+            if res > 1e-10 * base or float(obj.value(q)) > f_p + check_tol_for(f_p):
                 ok = False
         checks.append(
             {
@@ -482,7 +468,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="INI config path")
     p_run.add_argument("--seed", type=int, default=None, help="override problem and solver seeds")
     p_run.add_argument("--out", default=None, help="override output prefix")
-    p_run.add_argument("--format", choices=("csv", "json", "both"), default=None)
     p_run.add_argument("--quiet", action="store_true")
 
     p_check = sub.add_parser("check", help="run oracle cross-checks for a configured problem")
@@ -518,8 +503,6 @@ def main(argv=None) -> int:
 
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_prefix=args.out)
-    if args.format is not None:
-        cfg = dataclasses.replace(cfg, out_format=args.format)
     return cmd_run(cfg, quiet=args.quiet)
 
 

@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import Certificate, IterationRecord, accumulate, check_step, verify_telescope
+from .certificate import (
+    Certificate,
+    IterationRecord,
+    accumulate,
+    check_step,
+    check_tol_for,
+    verify_telescope,
+)
 from .errors import BcdcertError
 from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
 from .strategies import (
@@ -50,8 +57,9 @@ class SolverConfig:
     """Knobs for one run.
 
     ``y_tol=None`` resolves to 1e-10 * max(1, ||grad_y|| at the start) and
-    ``check_tol=None`` to 1e-10 * max(1, |f0|); both are recorded on the
-    result. ``seed`` only labels the run (the loop itself is deterministic).
+    is recorded on the result, as is the run's decrease tolerance, which is
+    not a knob: it is ``check_tol_for(f0)``. ``seed`` only labels the run
+    (the loop itself is deterministic).
     """
 
     x_strategy: str = "fixed_step"
@@ -59,7 +67,6 @@ class SolverConfig:
     grad_tol: float = 1e-9
     max_iters: int = 1000
     backtrack: BacktrackParams = field(default_factory=BacktrackParams)
-    check_tol: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -69,8 +76,6 @@ class SolverConfig:
             )
         if self.y_tol is not None and not self.y_tol > 0:
             raise ValueError("y_tol must be positive")
-        if self.check_tol is not None and not self.check_tol > 0:
-            raise ValueError("check_tol must be positive")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
@@ -110,7 +115,8 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     t_start = time.perf_counter()
     obj.check_point(start)
 
-    def abort(err, cert, history, point, check_tol):
+    def abort(err, cert, history, point):
+        check_tol = check_tol_for(cert.f0)
         cert.invalidated = True
         verify_telescope(cert, check_tol)
         return RunResult(
@@ -125,20 +131,21 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             error=err,
         )
 
-    def resolve_check_tol(f0):
-        return cfg.check_tol if cfg.check_tol is not None else 1e-10 * max(1.0, abs(f0))
-
     y_tol = math.nan
     init_residual = 0.0
     f_cur = math.nan
     try:
         y_tol = _resolve_y_tol(obj, start, cfg)
         f_cur = checked_value(obj, start)
-        point, init_residual, f_cur, gy = stationary_y(obj, start, f_cur, y_tol)
+        # f0 is not known until the y block is solved, so this one solve
+        # takes its tolerance from f at the start point.
+        point, init_residual, f_cur, gy = stationary_y(
+            obj, start, f_cur, y_tol, check_tol_for(f_cur)
+        )
     except BcdcertError as err:
-        return abort(err, Certificate.fresh(f_cur), [], start, resolve_check_tol(f_cur))
+        return abort(err, Certificate.fresh(f_cur), [], start)
 
-    check_tol = resolve_check_tol(f_cur)
+    check_tol = check_tol_for(f_cur)
     cert = Certificate.fresh(f_cur)
     history: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS
@@ -152,18 +159,20 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
                 stop = StopReason.GRAD_TOL
                 break
             if cfg.x_strategy == "fixed_step":
-                upd = fixed_step_gradient_x(obj, point, f_cur, gx)
+                upd = fixed_step_gradient_x(obj, point, f_cur, gx, check_tol)
             elif cfg.x_strategy == "exact_min":
-                upd = exact_min_x(obj, point, f_cur, gx)
+                upd = exact_min_x(obj, point, f_cur, gx, check_tol)
             else:
                 # Monotone per-run estimate: never let the accepted constant
                 # shrink between outer iterations.
                 params = dataclasses.replace(cfg.backtrack, l_init=l_carry)
-                upd = backtracking_gradient_x(obj, point, f_cur, gx, params)
+                upd = backtracking_gradient_x(obj, point, f_cur, gx, check_tol, params)
                 l_carry = upd.e_t
-            point, residual, f_after_y, gy = stationary_y(obj, upd.point, upd.f_next, y_tol)
+            point, residual, f_after_y, gy = stationary_y(
+                obj, upd.point, upd.f_next, y_tol, check_tol
+            )
         except BcdcertError as err:
-            return abort(err, cert, history, point, check_tol)
+            return abort(err, cert, history, point)
         rec = IterationRecord(
             t=t,
             f_before=f_cur,
@@ -211,7 +220,7 @@ def solve_gd_baseline(
 
     point = start
     f_cur, gx, gy = evaluate(obj, point)
-    check_tol = 1e-10 * max(1.0, abs(f_cur))
+    check_tol = check_tol_for(f_cur)
     cert = Certificate.fresh(f_cur)
     history: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS

@@ -7,7 +7,10 @@ the ``e_t`` certifying the sufficient-decrease condition
 
     f(x_t, y_t) - f(x_{t+1}, y_t) >= ||grad_x f(x_t, y_t)||^2 / (2 e_t)
 
-for the step it just took. ``stationary_y`` likewise takes ``f(p)`` and
+for the step it just took, within the run's tolerance ``tol`` (see
+``certificate.check_tol_for``). The test is ``certificate.sufficient_decrease``,
+the one the certificate applies, so a step a strategy accepts is a step the
+certificate certifies. ``stationary_y`` likewise takes ``f(p)`` and
 returns the value and ``grad_y`` at the point it lands on, so no number the
 solver needs is computed twice. A strategy that cannot honor its own
 certificate raises (never silently repairs): a violated guarantee means the
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import sufficient_decrease
 from .errors import (
     BacktrackExhausted,
     InnerSolveFailed,
@@ -30,10 +34,6 @@ from .errors import (
     SufficientDecreaseViolated,
 )
 from .problem import BlockPoint, Objective, checked_grad, checked_value
-
-# Additive slack for decrease checks, scaled by max(1, |f|) so it behaves for
-# both tiny and large objective magnitudes.
-DECREASE_SLACK = 1e-12
 
 _INNER_CAP = 50_000
 
@@ -70,10 +70,6 @@ class BacktrackParams:
             raise ValueError("max_rejects must be at least 1")
 
 
-def _slack(f: float) -> float:
-    return DECREASE_SLACK * max(1.0, abs(f))
-
-
 def _positive_lipschitz(lip) -> float:
     lip = float(lip)
     if not (math.isfinite(lip) and lip > 0):
@@ -81,16 +77,18 @@ def _positive_lipschitz(lip) -> float:
     return lip
 
 
-def _verify_decrease(f: float, f_next: float, gx: np.ndarray, lip: float, culprit: str):
-    need = float(gx @ gx) / (2.0 * lip)
-    if f - f_next < need - _slack(f):
+def _verify_decrease(f: float, f_next: float, gx: np.ndarray, lip: float, tol: float, culprit: str):
+    g_sq = float(gx @ gx)
+    if not sufficient_decrease(f, f_next, g_sq, lip, tol):
         raise SufficientDecreaseViolated(
-            f"decrease {f - f_next:.6g} < required {need:.6g} with declared "
+            f"decrease {f - f_next:.6g} < required {g_sq / (2.0 * lip):.6g} with declared "
             f"L={lip:.6g}; {culprit} oracle is wrong"
         )
 
 
-def fixed_step_gradient_x(obj: Objective, p: BlockPoint, f: float, gx: np.ndarray) -> XUpdateResult:
+def fixed_step_gradient_x(
+    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, tol: float
+) -> XUpdateResult:
     """Gradient step x - (1/L) grad_x with the oracle's L(y); e_t = L(y).
 
     Verifies the achieved decrease against ||grad_x||^2 / (2L) and raises
@@ -102,11 +100,13 @@ def fixed_step_gradient_x(obj: Objective, p: BlockPoint, f: float, gx: np.ndarra
     lip = _positive_lipschitz(lip)
     point = p.with_x(p.x - gx / lip)
     f_next = checked_value(obj, point)
-    _verify_decrease(f, f_next, gx, lip, "lipschitz_x")
+    _verify_decrease(f, f_next, gx, lip, tol, "lipschitz_x")
     return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
-def exact_min_x(obj: Objective, p: BlockPoint, f: float, gx: np.ndarray) -> XUpdateResult:
+def exact_min_x(
+    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, tol: float
+) -> XUpdateResult:
     """x_{t+1} = argmin_x f(x, y_t); e_t = L(y_t).
 
     The exact minimizer decreases f at least as much as the 1/L gradient step,
@@ -122,17 +122,17 @@ def exact_min_x(obj: Objective, p: BlockPoint, f: float, gx: np.ndarray) -> XUpd
     point = p.with_x(x_next)
     obj.check_point(point)
     f_next = checked_value(obj, point)
-    _verify_decrease(f, f_next, gx, lip, "exact_min_x or lipschitz_x")
+    _verify_decrease(f, f_next, gx, lip, tol, "exact_min_x or lipschitz_x")
     return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
 def backtracking_gradient_x(
-    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, params: BacktrackParams
+    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, tol: float, params: BacktrackParams
 ) -> XUpdateResult:
     """Grow a Lipschitz estimate until the trial step certifies the condition.
 
     Tries x - (1/L̂) grad_x for L̂ in {l_init * growth^k} and accepts the first
-    trial with f(x,y) - f(x',y) >= ||grad_x||^2 / (2 L̂); e_t is the accepted
+    trial with f(x,y) - f(x',y) >= ||grad_x||^2 / (2 L̂) - tol; e_t is the accepted
     estimate. A non-finite trial value counts as a rejection (the step
     overshot the finite domain; growing L̂ recovers).
     """
@@ -144,10 +144,10 @@ def backtracking_gradient_x(
     for trials in range(1, params.max_rejects + 2):
         trial = p.with_x(p.x - gx / l_hat)
         f_try = float(obj.value(trial))
-        # The slack keeps tiny gradients workable: once ||g||^2/(2L) falls
-        # under the roundoff of the f subtraction, an exact test would
-        # reject every estimate and exhaust.
-        if math.isfinite(f_try) and f - f_try >= g_sq / (2.0 * l_hat) - _slack(f):
+        # tol keeps tiny gradients workable: once ||g||^2/(2L) falls under
+        # the roundoff of the f subtraction, an exact test would reject
+        # every estimate and exhaust.
+        if math.isfinite(f_try) and sufficient_decrease(f, f_try, g_sq, l_hat, tol):
             return XUpdateResult(trial, f_try, l_hat, trials)
         l_hat *= params.growth
     raise BacktrackExhausted(
@@ -156,45 +156,47 @@ def backtracking_gradient_x(
     )
 
 
-def _inner_descent_y(obj, p, f, tol):
+def _inner_descent_y(obj, p, f, y_tol, tol):
     """Fallback when no exact y minimizer exists: certified descent on y alone.
 
     Starts from ``p`` with ``f = f(p)``; returns (point, residual, f, grad_y)
-    at the first point whose residual is within tol.
+    at the first point whose residual is within y_tol. Steps are accepted
+    with the x-strategies' decrease test and tolerance ``tol``.
     """
     point = p
     l_hat = 1.0
     for _ in range(_INNER_CAP):
         gy = checked_grad(obj, point, "y")
         res = float(np.linalg.norm(gy))
-        if res <= tol:
+        if res <= y_tol:
             return point, res, f, gy
         g_sq = float(gy @ gy)
         for _ in range(200):
             trial = point.with_y(point.y - gy / l_hat)
             f_try = float(obj.value(trial))
-            # Slack matters here: near stationarity the true decrease is
+            # tol matters here: near stationarity the true decrease is
             # ~||gy||^2/l, far below the roundoff of the f subtraction.
-            if math.isfinite(f_try) and f - f_try >= g_sq / (2.0 * l_hat) - _slack(f):
+            if math.isfinite(f_try) and sufficient_decrease(f, f_try, g_sq, l_hat, tol):
                 point, f = trial, f_try
                 break
             l_hat *= 2.0
         else:
             raise InnerSolveFailed("inner y-descent line search exhausted")
-    raise InnerSolveFailed(f"y residual above {tol:.3g} after {_INNER_CAP} inner steps")
+    raise InnerSolveFailed(f"y residual above {y_tol:.3g} after {_INNER_CAP} inner steps")
 
 
-def stationary_y(obj: Objective, p: BlockPoint, f_before: float, tol: float):
+def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, tol: float):
     """Drive the y block to (numerical) stationarity at fixed x.
 
     ``f_before`` is f(p). Uses the exact minimizer when the objective
-    provides one, otherwise an inner certified-descent loop. Returns
-    (point, residual, f_after, grad_y) at the new point, where residual is
-    ||grad_y||; it is recorded rather than hidden so the certificate can
-    expose inexact solves. Never increases f.
+    provides one, otherwise an inner certified-descent loop, until
+    ||grad_y|| <= y_tol. Returns (point, residual, f_after, grad_y) at the
+    new point, where residual is ||grad_y||; it is recorded rather than
+    hidden so the certificate can expose inexact solves. Never increases f
+    by more than ``tol``, the certificate's allowance for the y-step.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not y_tol > 0:
+        raise ValueError("y_tol must be positive")
     obj.check_point(p)
     if obj.n_y == 0:
         return p, 0.0, f_before, np.zeros(0)
@@ -205,15 +207,15 @@ def stationary_y(obj: Objective, p: BlockPoint, f_before: float, tol: float):
         obj.check_point(point)
         gy = checked_grad(obj, point, "y")
         residual = float(np.linalg.norm(gy))
-        if residual > tol:
+        if residual > y_tol:
             raise InnerSolveFailed(
-                f"exact_min_y left residual {residual:.3g} > tol {tol:.3g}"
+                f"exact_min_y left residual {residual:.3g} > y_tol {y_tol:.3g}"
             )
         f_after = checked_value(obj, point)
     else:
-        point, residual, f_after, gy = _inner_descent_y(obj, p, f_before, tol)
+        point, residual, f_after, gy = _inner_descent_y(obj, p, f_before, y_tol, tol)
 
-    if f_after > f_before + _slack(f_before):
+    if f_after > f_before + tol:
         raise InnerSolveFailed(
             f"y update increased f from {f_before:.6g} to {f_after:.6g}"
         )

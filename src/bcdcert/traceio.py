@@ -6,6 +6,10 @@ so a clean round trip matches bitwise: floats are serialized with repr(),
 which parses back to the identical double, and the fold performs the same
 arithmetic on the same values. Any single edited cell therefore shows up as
 an exact mismatch (or as a broken f-chain between consecutive rows).
+
+The check tolerance is not stored: it is ``check_tol_for(f0)``, with f0 the
+first row's ``f_before``, the same number the run used, so the file alone
+determines every derived column.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .certificate import (
     IterationRecord,
     accumulate,
     check_step,
+    check_tol_for,
     fit_rate,
 )
 from .errors import DegenerateFit, InsufficientHistory, SchemaMismatch, TamperDetected
@@ -58,11 +63,12 @@ class TraceVerdict:
         return self.all_steps_ok and self.telescope_ok and self.rate_bound_ok
 
 
-def fold_records(records, check_tol: float):
+def fold_records(records):
     """Fold records into per-row derived columns and the final certificate.
 
     Returns (derived, certificate) where derived[t] is the tuple
-    (suff_ok, cum_sum, rate_bound_prefix) after folding record t. The fold
+    (suff_ok, cum_sum, rate_bound_prefix) after folding record t, each step
+    checked with ``check_tol_for`` of the first record's f_before. The fold
     sets suff_ok on the records it is given; pass copies to keep an existing
     history untouched. certificate is None for an empty sequence.
     """
@@ -71,6 +77,7 @@ def fold_records(records, check_tol: float):
     for rec in records:
         if cert is None:
             cert = Certificate.fresh(rec.f_before)
+            check_tol = check_tol_for(rec.f_before)
         ok = check_step(rec, check_tol)
         cert = accumulate(cert, rec)
         derived.append((ok, cert.running_sum, cert.rate_bound))
@@ -105,37 +112,14 @@ def _row_cells(rec: IterationRecord, ok: bool, cum: float, rb: float) -> list[st
     ]
 
 
-def write_trace(path: str, history, check_tol: float) -> None:
+def write_trace(path: str, history) -> None:
     """Write the iteration history as a trace CSV (whole-file atomic)."""
     records = [dataclasses.replace(rec) for rec in history]
-    derived, _ = fold_records(records, check_tol)
+    derived, _ = fold_records(records)
     lines = [TRACE_HEADER]
     for rec, (ok, cum, rb) in zip(records, derived):
         lines.append(",".join(_row_cells(rec, ok, cum, rb)))
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_trace_json(path: str, history, check_tol: float) -> None:
-    """Same rows as the CSV, as a JSON array of objects."""
-    records = [dataclasses.replace(rec) for rec in history]
-    derived, _ = fold_records(records, check_tol)
-    rows = []
-    for rec, (ok, cum, rb) in zip(records, derived):
-        rows.append(
-            {
-                "t": rec.t,
-                "f_before": rec.f_before,
-                "f_after_x": rec.f_after_x,
-                "f_after_y": rec.f_after_y,
-                "gx_norm_sq": rec.gx_norm_sq,
-                "gy_residual": rec.gy_residual,
-                "e_t": rec.e_t,
-                "suff_ok": int(ok),
-                "cum_sum": cum,
-                "rate_bound_prefix": rb,
-            }
-        )
-    _atomic_write(path, json.dumps(rows, indent=1) + "\n")
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -187,7 +171,7 @@ def read_trace(path: str) -> list[TraceRow]:
         return [_parse_row(cells, i) for i, cells in enumerate(reader)]
 
 
-def verify_trace(rows: list[TraceRow], check_tol: float | None = None) -> TraceVerdict:
+def verify_trace(rows: list[TraceRow]) -> TraceVerdict:
     """Refold a parsed trace and check it end to end.
 
     Raises TamperDetected (naming the first offending row) if the f-chain
@@ -196,8 +180,8 @@ def verify_trace(rows: list[TraceRow], check_tol: float | None = None) -> TraceV
     the prefix telescope check, the prefix min-gradient rate-bound check, and
     the fitted log-log slope of the min-so-far gradient norm.
 
-    check_tol defaults to 1e-10 * max(1, |f0|) with f0 taken from the first
-    row, matching the solver's own default.
+    Every check uses ``check_tol_for(f0)`` with f0 taken from the first row,
+    the tolerance the run that wrote the trace used.
     """
     if not rows:
         return TraceVerdict(
@@ -211,8 +195,7 @@ def verify_trace(rows: list[TraceRow], check_tol: float | None = None) -> TraceV
             slope_note="insufficient history",
         )
     f0 = rows[0].record.f_before
-    if check_tol is None:
-        check_tol = 1e-10 * max(1.0, abs(f0))
+    check_tol = check_tol_for(f0)
 
     for t in range(1, len(rows)):
         if rows[t].record.f_before != rows[t - 1].record.f_after_y:
@@ -221,7 +204,7 @@ def verify_trace(rows: list[TraceRow], check_tol: float | None = None) -> TraceV
             )
 
     records = [dataclasses.replace(row.record) for row in rows]
-    derived, cert = fold_records(records, check_tol)
+    derived, cert = fold_records(records)
 
     telescope_ok = True
     rate_ok = True

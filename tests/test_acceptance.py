@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from bcdcert.certificate import IterationRecord, fit_rate
+from bcdcert.certificate import IterationRecord, check_tol_for, fit_rate
 from bcdcert.cli import main as cli_main
 from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
 from bcdcert.problem import BlockPoint, evaluate
@@ -65,7 +65,7 @@ def zoo_runs(tmp_path_factory):
                 start = zoo_start(obj, seed=1000 + i)
                 res = solve(obj, start, SolverConfig(x_strategy=strategy))
                 path = str(root / f"{family}.{strategy}.{i}.trace.csv")
-                write_trace(path, res.history, res.check_tol)
+                write_trace(path, res.history)
                 runs.append((family, strategy, i, res, path))
     return runs, time.perf_counter() - t0
 
@@ -204,8 +204,11 @@ def test_criterion_6_exact_min_dominates_fixed_step():
         obj = make_problem(ProblemSpec("coupled_quadratic", seed=s, params={"n_x": 5, "n_y": 4}))
         p = random_start(obj, seed=700 + s)
         f_p, gx, _ = evaluate(obj, p)
-        d_exact = f_p - float(obj.value(p.with_x(exact_min_x(obj, p, f_p, gx).point.x)))
-        d_fixed = f_p - float(obj.value(p.with_x(fixed_step_gradient_x(obj, p, f_p, gx).point.x)))
+        tol = check_tol_for(f_p)
+        x_exact = exact_min_x(obj, p, f_p, gx, tol).point.x
+        x_fixed = fixed_step_gradient_x(obj, p, f_p, gx, tol).point.x
+        d_exact = f_p - float(obj.value(p.with_x(x_exact)))
+        d_fixed = f_p - float(obj.value(p.with_x(x_fixed)))
         if d_exact < d_fixed - 1e-12:
             failures.append(f"seed {s}: exact {d_exact!r} < fixed {d_fixed!r}")
     announce(6, "exact minimization dominates the fixed step", failures, t0, budget=5.0)
@@ -219,7 +222,9 @@ def test_criterion_7_backtracking_constants():
     obj = TightQuadratic(4.0, [1.0], [4.0])
     p = BlockPoint([3.0], [])
     f_p, gx, _ = evaluate(obj, p)
-    res = backtracking_gradient_x(obj, p, f_p, gx, BacktrackParams(l_init=1.0, growth=2.0))
+    res = backtracking_gradient_x(
+        obj, p, f_p, gx, check_tol_for(f_p), BacktrackParams(l_init=1.0, growth=2.0)
+    )
     if res.e_t != 4.0:
         failures.append(f"doubling chain accepted e_t {res.e_t!r}, expected exactly 4.0")
     if abs(res.point.x[0]) > 1e-15:

@@ -67,7 +67,6 @@ def test_parse_full_config(tmp_path):
         x_strategy = backtracking
         grad_tol = 1e-8
         y_tol = 1e-11
-        check_tol = 1e-9
         max_iters = 250
         seed = 3
         start_x = 1.0, -2.0, 0.5
@@ -78,7 +77,6 @@ def test_parse_full_config(tmp_path):
 
         [output]
         prefix = out/experiment
-        format = both
 
         [baseline]
         step = 0.05
@@ -94,7 +92,6 @@ def test_parse_full_config(tmp_path):
     assert cfg.solver.x_strategy == "backtracking"
     assert cfg.solver.grad_tol == 1e-8
     assert cfg.solver.y_tol == 1e-11
-    assert cfg.solver.check_tol == 1e-9
     assert cfg.solver.max_iters == 250
     assert cfg.solver.seed == 3
     assert cfg.solver.backtrack.l_init == 0.5
@@ -103,7 +100,6 @@ def test_parse_full_config(tmp_path):
     assert cfg.start_x == [1.0, -2.0, 0.5]
     assert cfg.start_y == [0.0, 0.0]
     assert cfg.out_prefix == "out/experiment"
-    assert cfg.out_format == "both"
     assert cfg.baseline_step == 0.05
     assert cfg.baseline_iters == 300
 
@@ -114,10 +110,9 @@ def test_parse_minimal_defaults(tmp_path):
     assert cfg.solver.grad_tol == 1e-9
     assert cfg.solver.max_iters == 1000
     assert cfg.solver.seed == 0
-    assert cfg.solver.y_tol is None and cfg.solver.check_tol is None
+    assert cfg.solver.y_tol is None
     assert cfg.start_x is None and cfg.start_y is None
     assert cfg.out_prefix == "run"
-    assert cfg.out_format == "csv"
     assert cfg.baseline_step is None
     assert cfg.lipschitz_override is None
 
@@ -134,7 +129,8 @@ BAD_CONFIGS = [
     (COUPLED + "[solver]\nmax_iters = 0\n", "max_iters"),
     (COUPLED + "[solver]\nx_strategy = newton\n", "x_strategy"),
     (COUPLED + "[solver]\nstart_x =\n", "cannot parse"),
-    (COUPLED + "[output]\nformat = yaml\n", "format must be"),
+    (COUPLED + "[output]\nformat = csv\n", "unknown keys: format"),
+    (COUPLED + "[solver]\ncheck_tol = 1e-9\n", "unknown key 'check_tol'"),
     (COUPLED + "[output]\ncolor = red\n", "unknown keys"),
     (COUPLED + "[baseline]\nmax_iters = 10\n", "step is required"),
     (COUPLED + "[baseline]\nstep = 0.1\nwarmup = 3\n", "unknown keys"),
@@ -228,15 +224,6 @@ def test_run_seed_override_is_deterministic(tmp_path):
     # the seed override reaches both the instance draw and the start draw
     sa = json.load(open(a + ".summary.json"))
     assert sa["problem_seed"] == 7 and sa["solver_seed"] == 7
-
-
-def test_run_format_both_writes_two_traces(tmp_path):
-    cfg = write_cfg(tmp_path, COUPLED)
-    out = str(tmp_path / "fmt")
-    assert run_cli(["run", "--config", cfg, "--out", out, "--format", "both", "--quiet"]) == 0
-    summary = json.load(open(out + ".summary.json"))
-    assert summary["trace_files"] == [out + ".trace.csv", out + ".trace.json"]
-    assert json.load(open(out + ".trace.json"))
 
 
 def test_run_without_needed_oracle_is_operational_error(tmp_path, capsys):
@@ -389,6 +376,34 @@ def test_report_short_history_notes_it(tmp_path, capsys):
     trace = fresh_trace(tmp_path, extra="[solver]\nmax_iters = 1\n", out_name="onerow")
     assert run_cli(["report", trace]) == 0
     assert "insufficient history" in capsys.readouterr().out
+
+
+MF_6X5 = """
+    [problem]
+    family = matrix_factorization
+    m = 6
+    n = 5
+    r = 2
+    seed = 3
+
+    [solver]
+    x_strategy = backtracking
+"""
+
+
+def test_report_refolds_an_honest_trace_with_the_runs_tolerance(tmp_path, capsys):
+    # Row 80 of this run is certified at the run's tolerance but not at
+    # 1e-16. report can only refold with the tolerance the trace implies, so
+    # no config may set another one.
+    cfg = write_cfg(tmp_path, MF_6X5 + "    check_tol = 1e-16\n", name="tol.ini")
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "tol"), "--quiet"]) == 1
+    assert "check_tol" in capsys.readouterr().err
+
+    out = str(tmp_path / "mf")
+    cfg = write_cfg(tmp_path, MF_6X5, name="mf.ini")
+    assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert len(read_trace(out + ".trace.csv")) > 80
+    assert run_cli(["report", out + ".trace.csv", "--quiet"]) == 0
 
 
 # --- check command -----------------------------------------------------------

@@ -254,8 +254,6 @@ def test_solver_config_validation():
         SolverConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(y_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(check_tol=0.0)
 
 
 def test_run_result_iteration_count():
@@ -271,10 +269,8 @@ def test_resolved_tolerances_are_recorded():
     res = solve(obj, zoo_start(obj, 0), SolverConfig(max_iters=3))
     assert res.check_tol == 1e-10 * max(1.0, abs(res.certificate.f0))
     assert res.y_tol > 0
-    explicit = solve(
-        obj, zoo_start(obj, 0), SolverConfig(max_iters=3, y_tol=1e-7, check_tol=1e-9)
-    )
-    assert explicit.y_tol == 1e-7 and explicit.check_tol == 1e-9
+    explicit = solve(obj, zoo_start(obj, 0), SolverConfig(max_iters=3, y_tol=1e-7))
+    assert explicit.y_tol == 1e-7
 
 
 # --- baseline ---------------------------------------------------------------

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from bcdcert.certificate import IterationRecord, check_step, check_tol_for
 from bcdcert.errors import (
     BacktrackExhausted,
     DimensionMismatch,
@@ -34,9 +37,13 @@ def tight():
 
 
 def at(obj, p):
-    """(f, grad_x) at p, measured and checked as the solver hands them over."""
+    """(f, grad_x, tol) at p, as the solver hands them to a strategy.
+
+    f and grad_x are measured and checked; tol is the check tolerance of a
+    run whose first value is f.
+    """
     f, gx, _ = evaluate(obj, p)
-    return f, gx
+    return f, gx, check_tol_for(f)
 
 
 # --- fixed step -------------------------------------------------------------
@@ -210,8 +217,8 @@ def test_backtracking_accepts_immediately_when_l_init_suffices():
 def test_backtracking_zero_gradient_short_circuits():
     obj = tight()
     p = BlockPoint([0.0])  # the unconstrained minimizer
-    f, gx = at(obj, p)
-    upd = backtracking_gradient_x(obj, p, f, gx, BacktrackParams(l_init=7.0))
+    f, gx, tol = at(obj, p)
+    upd = backtracking_gradient_x(obj, p, f, gx, tol, BacktrackParams(l_init=7.0))
     np.testing.assert_array_equal(upd.point.x, p.x)
     assert upd.e_t == 7.0
     assert upd.f_next == f and upd.inner_evals == 0
@@ -286,6 +293,58 @@ def test_backtrack_params_validation():
         BacktrackParams(max_rejects=0)
 
 
+# --- one decrease test -------------------------------------------------------
+#
+# Declared just below the true l = 4 of tight(), a constant L' makes the
+# step from x = 3 fall short of its bound ||g||^2 / (2 L') by a known amount:
+# ||g||^2 (l - L') / (2 L'^2) for the 1/L' gradient step, and
+# ||g||^2 (l - L') / (2 l L') for the exact minimizer. Short by less than tol,
+# the strategy accepts the step and check_step certifies it; short by more,
+# both refuse it.
+
+
+def _declared_short_by(shortfall, exact):
+    g_sq, l = 144.0, 4.0  # ||grad_x||^2 and L of tight() at x = 3
+    if exact:
+        return g_sq * l / (g_sq + 2.0 * l * shortfall)
+    # positive root of 2 s L'^2 + g_sq L' - g_sq l = 0, in cancellation-free form
+    return 2.0 * g_sq * l / (g_sq + math.sqrt(g_sq * g_sq + 8.0 * shortfall * g_sq * l))
+
+
+def _certified(f, f_next, g_sq, e_t, tol):
+    rec = IterationRecord(t=0, f_before=f, f_after_x=f_next, f_after_y=f_next,
+                          gx_norm_sq=g_sq, gy_residual=0.0, e_t=e_t)
+    return check_step(rec, tol)
+
+
+@pytest.mark.parametrize("tol", [check_tol_for(16.0), 1e-6], ids=["run-tol", "loose"])
+@pytest.mark.parametrize("short,accepted", [(0.5, True), (2.0, False)], ids=["within", "beyond"])
+@pytest.mark.parametrize("strategy", ["fixed_step", "exact_min", "backtracking"])
+def test_strategy_accepts_what_check_step_certifies(strategy, short, accepted, tol):
+    p = BlockPoint([3.0])
+    lip = _declared_short_by(short * tol, exact=strategy == "exact_min")
+    obj = LipschitzOverride(tight(), lip)
+    f, gx, _ = at(obj, p)
+    g_sq = float(gx @ gx)
+    trial = p.with_x(obj.exact_min_x(p.y) if strategy == "exact_min" else p.x - gx / lip)
+    f_trial = obj.value(trial)
+    assert g_sq / (2.0 * lip) - (f - f_trial) == pytest.approx(short * tol, rel=1e-3)
+    assert _certified(f, f_trial, g_sq, lip, tol) is accepted
+
+    if strategy == "backtracking":
+        upd = backtracking_gradient_x(obj, p, f, gx, tol, BacktrackParams(l_init=lip))
+        assert (upd.e_t == lip) is accepted  # refused, it grows the estimate
+    else:
+        update = fixed_step_gradient_x if strategy == "fixed_step" else exact_min_x
+        if not accepted:
+            with pytest.raises(SufficientDecreaseViolated):
+                update(obj, p, f, gx, tol)
+            return
+        upd = update(obj, p, f, gx, tol)
+        assert upd.e_t == lip and upd.point == trial
+    assert _certified(f, upd.f_next, g_sq, upd.e_t, tol)
+
+
 # --- y block ----------------------------------------------------------------
 
 
@@ -293,7 +352,8 @@ def test_stationary_y_exact_path():
     obj = zoo_problem("coupled_quadratic", seed=5)
     rng = np.random.default_rng(5)
     p = BlockPoint(rng.standard_normal(obj.n_x), rng.standard_normal(obj.n_y))
-    q, res, f_after, gy = stationary_y(obj, p, obj.value(p), tol=1e-10)
+    f = obj.value(p)
+    q, res, f_after, gy = stationary_y(obj, p, f, 1e-10, check_tol_for(f))
     assert res <= 1e-10
     np.testing.assert_array_equal(q.x, p.x)
     assert np.linalg.norm(obj.grad_y(q)) == res
@@ -304,7 +364,8 @@ def test_stationary_y_exact_path():
 
 def test_stationary_y_empty_block():
     obj, p = tight(), BlockPoint([3.0])
-    q, res, f_after, gy = stationary_y(obj, p, obj.value(p), tol=1e-10)
+    f = obj.value(p)
+    q, res, f_after, gy = stationary_y(obj, p, f, 1e-10, check_tol_for(f))
     assert q.y.shape == (0,) and res == 0.0
     assert q == p and f_after == obj.value(p) and gy.shape == (0,)
 
@@ -320,7 +381,8 @@ def test_stationary_y_inner_descent_fallback():
     base = zoo_problem("coupled_quadratic", seed=6)
     obj = _HiddenMinimizer(base.A, base.B, base.C, base.a, base.c)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
-    q, res, f_after, gy = stationary_y(obj, p, obj.value(p), tol=1e-8)
+    f = obj.value(p)
+    q, res, f_after, gy = stationary_y(obj, p, f, 1e-8, check_tol_for(f))
     assert res <= 1e-8
     assert f_after == obj.value(q)
     np.testing.assert_array_equal(gy, obj.grad_y(q))
@@ -336,13 +398,33 @@ def test_stationary_y_rejects_a_wrong_exact_minimizer():
     base = zoo_problem("coupled_quadratic", seed=7)
     obj = _WrongMinimizer(base.A, base.B, base.C, base.a, base.c)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
+    f = obj.value(p)
     with pytest.raises(InnerSolveFailed):
-        stationary_y(obj, p, obj.value(p), tol=1e-10)
+        stationary_y(obj, p, f, 1e-10, check_tol_for(f))
+
+
+@pytest.mark.parametrize("short,accepted", [(0.5, True), (2.0, False)], ids=["within", "beyond"])
+def test_stationary_y_allows_the_rise_check_step_allows(short, accepted):
+    # p already has y at its minimizer, so the y-solve lands on p again; a
+    # stated f_before below f(p) makes that a rise of short * tol.
+    obj = zoo_problem("coupled_quadratic", seed=10)
+    x = np.ones(obj.n_x)
+    p = BlockPoint(x, obj.exact_min_y(x))
+    tol = 1e-6
+    f_before = obj.value(p) - short * tol
+    rec = IterationRecord(t=0, f_before=f_before, f_after_x=f_before, f_after_y=obj.value(p),
+                          gx_norm_sq=0.0, gy_residual=0.0, e_t=1.0)
+    assert check_step(rec, tol) is accepted
+    if accepted:
+        assert stationary_y(obj, p, f_before, 1e-8, tol)[2] == obj.value(p)
+    else:
+        with pytest.raises(InnerSolveFailed):
+            stationary_y(obj, p, f_before, 1e-8, tol)
 
 
 def test_stationary_y_tol_validation():
     with pytest.raises(ValueError):
-        stationary_y(tight(), BlockPoint([1.0]), 0.0, tol=0.0)
+        stationary_y(tight(), BlockPoint([1.0]), 0.0, 0.0, 1e-10)
 
 
 class _NaNMinimizer(CoupledQuadratic):
@@ -354,8 +436,9 @@ def test_stationary_y_rejects_non_finite_minimizer():
     base = zoo_problem("coupled_quadratic", seed=8)
     obj = _NaNMinimizer(base.A, base.B, base.C, base.a, base.c)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
+    f = obj.value(p)
     with pytest.raises(NonFiniteValue):
-        stationary_y(obj, p, obj.value(p), tol=1e-10)
+        stationary_y(obj, p, f, 1e-10, check_tol_for(f))
 
 
 class _NaNGradY(CoupledQuadratic):
@@ -367,8 +450,9 @@ def test_stationary_y_rejects_non_finite_grad_y():
     base = zoo_problem("coupled_quadratic", seed=9)
     obj = _NaNGradY(base.A, base.B, base.C, base.a, base.c)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
+    f = obj.value(p)
     with pytest.raises(NonFiniteValue):
-        stationary_y(obj, p, obj.value(p), tol=1e-10)
+        stationary_y(obj, p, f, 1e-10, check_tol_for(f))
 
 
 # --- baseline step ----------------------------------------------------------

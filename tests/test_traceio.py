@@ -1,6 +1,5 @@
 import dataclasses
 import glob
-import json
 import math
 import os
 
@@ -14,7 +13,6 @@ from bcdcert.traceio import (
     read_trace,
     verify_trace,
     write_trace,
-    write_trace_json,
 )
 
 from conftest import zoo_problem, zoo_start
@@ -24,7 +22,7 @@ def run_and_write(tmp_path, seed=5, max_iters=40, name="run.trace.csv"):
     obj = zoo_problem("coupled_quadratic", seed=seed)
     res = solve(obj, zoo_start(obj, seed), SolverConfig(max_iters=max_iters))
     path = str(tmp_path / name)
-    write_trace(path, res.history, res.check_tol)
+    write_trace(path, res.history)
     return res, path
 
 
@@ -59,20 +57,15 @@ def test_fresh_trace_verifies(tmp_path):
     assert verdict.num_rows == len(res.history)
     assert verdict.all_steps_ok and verdict.telescope_ok and verdict.rate_bound_ok
     assert verdict.certificate.running_sum == res.certificate.running_sum
-
-
-def test_verify_accepts_explicit_check_tol(tmp_path):
-    _, path = run_and_write(tmp_path)
-    verdict = verify_trace(read_trace(path), check_tol=1e-8)
-    assert verdict.check_tol == 1e-8
-    assert verdict.passed()
+    # the audit recovers the run's tolerance from the file alone
+    assert verdict.check_tol == res.check_tol
 
 
 def test_derived_columns_match_a_refold(tmp_path):
     res, path = run_and_write(tmp_path)
     rows = read_trace(path)
     records = [dataclasses.replace(r.record) for r in rows]
-    derived, cert = fold_records(records, res.check_tol)
+    derived, cert = fold_records(records)
     for row, (ok, cum, rb) in zip(rows, derived):
         assert row.record.suff_ok == ok
         assert row.cum_sum == cum
@@ -81,13 +74,13 @@ def test_derived_columns_match_a_refold(tmp_path):
 
 
 def test_fold_records_empty():
-    derived, cert = fold_records([], 1e-10)
+    derived, cert = fold_records([])
     assert derived == [] and cert is None
 
 
 def test_empty_trace_is_trivially_valid(tmp_path):
     path = str(tmp_path / "empty.trace.csv")
-    write_trace(path, [], 1e-10)
+    write_trace(path, [])
     rows = read_trace(path)
     assert rows == []
     verdict = verify_trace(rows)
@@ -100,16 +93,6 @@ def test_empty_trace_is_trivially_valid(tmp_path):
 def test_no_temp_files_left_behind(tmp_path):
     run_and_write(tmp_path)
     assert glob.glob(str(tmp_path / ".tmp-*")) == []
-
-
-def test_json_trace_round_trips_values(tmp_path):
-    res, _ = run_and_write(tmp_path)
-    path = str(tmp_path / "run.trace.json")
-    write_trace_json(path, res.history, res.check_tol)
-    rows = json.load(open(path))
-    assert len(rows) == len(res.history)
-    assert rows[0]["f_before"] == res.certificate.f0
-    assert set(rows[0]) == set(TRACE_HEADER.split(","))
 
 
 # --- tampering --------------------------------------------------------------
