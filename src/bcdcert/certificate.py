@@ -17,7 +17,6 @@ the record sequence, so a trace can be refolded later and compared.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -50,9 +49,9 @@ class IterationRecord:
     suff_ok: bool = False
 
     def __post_init__(self):
-        vals = (self.f_before, self.f_after_x, self.f_after_y,
-                self.gx_norm_sq, self.gy_residual, self.e_t)
-        if not all(math.isfinite(v) for v in vals):
+        if not (math.isfinite(self.f_before) and math.isfinite(self.f_after_x)
+                and math.isfinite(self.f_after_y) and math.isfinite(self.gx_norm_sq)
+                and math.isfinite(self.gy_residual) and math.isfinite(self.e_t)):
             raise ValueError(f"record {self.t} has non-finite fields")
         if self.gx_norm_sq < 0 or self.gy_residual < 0:
             raise ValueError(f"record {self.t} has negative norms")
@@ -136,8 +135,8 @@ def accumulate(cert: Certificate, rec: IterationRecord) -> Certificate:
         raise OutOfOrderRecord(
             f"record t={rec.t} after {cert.num_steps} accumulated steps"
         )
-    return dataclasses.replace(
-        cert,
+    return Certificate(
+        f0=cert.f0,
         f_final=rec.f_after_y,
         num_steps=cert.num_steps + 1,
         running_sum=cert.running_sum + rec.gx_norm_sq / (2.0 * rec.e_t),
@@ -145,7 +144,9 @@ def accumulate(cert: Certificate, rec: IterationRecord) -> Certificate:
         e_min=min(cert.e_min, rec.e_t),
         min_grad_sq=min(cert.min_grad_sq, rec.gx_norm_sq),
         max_gy_residual=max(cert.max_gy_residual, rec.gy_residual),
+        telescope_ok=cert.telescope_ok,
         all_steps_ok=cert.all_steps_ok and rec.suff_ok,
+        invalidated=cert.invalidated,
     )
 
 

@@ -248,8 +248,8 @@ def _summarize(cfg: RunConfig, result) -> dict:
         "x_strategy": cfg.solver.x_strategy,
         "problem_seed": cfg.spec.seed,
         "solver_seed": cfg.solver.seed,
-        "f0": cert.f0,
-        "f_final": cert.f_final,
+        "f0": _num(cert.f0),
+        "f_final": _num(cert.f_final),
         "T": cert.num_steps,
         "e_min": _num(cert.e_min),
         "e_max": _num(cert.e_max),
@@ -258,11 +258,11 @@ def _summarize(cfg: RunConfig, result) -> dict:
         "telescope_ok": cert.telescope_ok,
         "all_steps_ok": cert.all_steps_ok,
         "certified": cert.passed(),
-        "max_gy_residual": cert.max_gy_residual,
-        "init_y_residual": result.init_y_residual,
+        "max_gy_residual": _num(cert.max_gy_residual),
+        "init_y_residual": _num(result.init_y_residual),
         "stop_reason": result.stop_reason.value,
-        "wall_time": result.wall_time,
-        "check_tol": result.check_tol,
+        "wall_time": _num(result.wall_time),
+        "check_tol": _num(result.check_tol),
         "y_tol": _num(result.y_tol),
         "e_growth_flag": _e_growth_flag(result.history),
         "error": _error_payload(result.error),
@@ -297,8 +297,8 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
         trace_files.append(base_path)
         summary["baseline"] = {
             "step": cfg.baseline_step,
-            "f0": base.certificate.f0,
-            "f_final": base.certificate.f_final,
+            "f0": _num(base.certificate.f0),
+            "f_final": _num(base.certificate.f_final),
             "T": base.certificate.num_steps,
             "stop_reason": base.stop_reason.value,
             "error": _error_payload(base.error),

@@ -19,12 +19,22 @@ Vector = np.ndarray
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a read-only, finite float64 1-D array."""
-    arr = np.atleast_1d(np.asarray(v, dtype=np.float64)).ravel().copy()
-    if not np.all(np.isfinite(arr)):
+    """Coerce to a read-only, finite float64 1-D array (always a private copy)."""
+    arr = np.array(v, dtype=np.float64, ndmin=1)
+    if arr.ndim > 1:
+        arr = arr.ravel()
+    if not np.isfinite(arr).all():
         raise NonFiniteValue(f"{name} contains NaN/Inf entries")
     arr.flags.writeable = False
     return arr
+
+
+def _from_blocks(x: np.ndarray, y: np.ndarray) -> "BlockPoint":
+    """A BlockPoint from two blocks that ``as_vector`` has already returned."""
+    p = object.__new__(BlockPoint)
+    object.__setattr__(p, "x", x)
+    object.__setattr__(p, "y", y)
+    return p
 
 
 class BlockPoint:
@@ -32,6 +42,8 @@ class BlockPoint:
 
     Immutable after construction; entries are validated finite. Either block
     may be empty (n_y = 0 lets a pure-x quadratic share the full solver path).
+    ``with_x``/``with_y`` validate only the block they replace and share the
+    other, already finite and read-only, with ``self``.
     """
 
     __slots__ = ("x", "y")
@@ -52,10 +64,10 @@ class BlockPoint:
         return self.y.size
 
     def with_x(self, x) -> "BlockPoint":
-        return BlockPoint(x, self.y)
+        return _from_blocks(as_vector(x, "x"), self.y)
 
     def with_y(self, y) -> "BlockPoint":
-        return BlockPoint(self.x, y)
+        return _from_blocks(self.x, as_vector(y, "y"))
 
     def __eq__(self, other):
         return (
@@ -136,7 +148,7 @@ def checked_grad(obj: Objective, p: BlockPoint, block: str) -> np.ndarray:
     g = np.asarray(grad(p), dtype=np.float64).ravel()
     if g.size != size:
         raise DimensionMismatch(f"grad_{block} has size {g.size}, expected {size}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteValue(f"grad_{block} is non-finite at {p!r}")
     return g
 

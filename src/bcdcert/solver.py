@@ -149,7 +149,7 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     cert = Certificate.fresh(f_cur)
     history: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS
-    l_carry = cfg.backtrack.l_init
+    params = cfg.backtrack
 
     for t in range(cfg.max_iters):
         try:
@@ -163,11 +163,11 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             elif cfg.x_strategy == "exact_min":
                 upd = exact_min_x(obj, point, f_cur, gx, check_tol)
             else:
-                # Monotone per-run estimate: never let the accepted constant
-                # shrink between outer iterations.
-                params = dataclasses.replace(cfg.backtrack, l_init=l_carry)
+                # Monotone per-run estimate: the next step starts from the
+                # accepted constant, which moves only after a rejection.
                 upd = backtracking_gradient_x(obj, point, f_cur, gx, check_tol, params)
-                l_carry = upd.e_t
+                if upd.e_t != params.l_init:
+                    params = dataclasses.replace(params, l_init=upd.e_t)
             point, residual, f_after_y, gy = stationary_y(
                 obj, upd.point, upd.f_next, y_tol, check_tol
             )

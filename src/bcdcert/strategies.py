@@ -167,10 +167,10 @@ def _inner_descent_y(obj, p, f, y_tol, tol):
     l_hat = 1.0
     for _ in range(_INNER_CAP):
         gy = checked_grad(obj, point, "y")
-        res = float(np.linalg.norm(gy))
+        g_sq = float(gy @ gy)
+        res = math.sqrt(g_sq)
         if res <= y_tol:
             return point, res, f, gy
-        g_sq = float(gy @ gy)
         for _ in range(200):
             trial = point.with_y(point.y - gy / l_hat)
             f_try = float(obj.value(trial))
@@ -206,7 +206,7 @@ def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, t
         point = p.with_y(y_exact)
         obj.check_point(point)
         gy = checked_grad(obj, point, "y")
-        residual = float(np.linalg.norm(gy))
+        residual = math.sqrt(float(gy @ gy))
         if residual > y_tol:
             raise InnerSolveFailed(
                 f"exact_min_y left residual {residual:.3g} > y_tol {y_tol:.3g}"

@@ -123,8 +123,8 @@ def write_trace(path: str, history) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    """Atomic JSON dump used for summaries and check reports."""
-    _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    """Atomic JSON dump used for summaries; NaN/inf raise instead of writing invalid JSON."""
+    _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _parse_row(cells: list[str], index: int) -> TraceRow:

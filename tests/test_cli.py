@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from bcdcert.cli import (
 from bcdcert.errors import ConfigError
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import CoupledQuadratic, make_problem
-from bcdcert.traceio import read_trace
+from bcdcert.traceio import read_trace, write_json
 
 from conftest import zoo_problem
 
@@ -280,6 +281,43 @@ def test_run_baseline_divergence_is_recorded_not_fatal(tmp_path):
     assert summary["baseline"]["error"]["type"] == "NonFiniteValue"
     assert summary["baseline"]["stop_reason"] == "error"
     assert summary["certified"] is True
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary holds the non-JSON constant {name}")
+
+
+def test_run_summary_is_strict_json_when_the_start_value_is_not_finite(tmp_path):
+    # f(1e200, 0) overflows, so f0 and f_final are undefined: they must come
+    # out as null, not as a bare NaN that JSON parsers reject
+    cfg = write_cfg(
+        tmp_path,
+        """
+        [problem]
+        family = two_block_rosenbrock
+
+        [solver]
+        x_strategy = backtracking
+        start_x = 1e200
+        start_y = 0.0
+        """,
+    )
+    out = str(tmp_path / "huge")
+    with np.errstate(over="ignore"):
+        assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 1
+    summary = json.loads(
+        Path(out + ".summary.json").read_text(), parse_constant=_reject_constant
+    )
+    assert summary["error"]["type"] == "NonFiniteValue"
+    assert summary["f0"] is None and summary["f_final"] is None
+    assert summary["T"] == 0
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError):
+        write_json(str(path), {"f0": math.nan})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_survives_an_oracle_that_breaks_mid_run(tmp_path):

@@ -58,6 +58,62 @@ def test_blockpoint_sizes_and_replacement():
     assert np.array_equal(r.y, [7.0]) and np.array_equal(r.x, p.x)
 
 
+def replace_block(p, block, v):
+    return p.with_x(v) if block == "x" else p.with_y(v)
+
+
+def other_block(block):
+    return "y" if block == "x" else "x"
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_replacement_shares_the_untouched_block(block):
+    p = BlockPoint([1.0, 2.0], [3.0])
+    q = replace_block(p, block, [5.0] * getattr(p, "n_" + block))
+    kept = other_block(block)
+    assert getattr(q, kept) is getattr(p, kept)
+    for name in ("x", "y"):
+        arr = getattr(q, name)
+        assert arr.dtype == np.float64 and arr.ndim == 1
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_replacement_still_rejects_non_finite_entries(block, bad):
+    p = BlockPoint([1.0, 2.0], [3.0])
+    with pytest.raises(NonFiniteValue):
+        replace_block(p, block, [bad] * getattr(p, "n_" + block))
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_replacement_copies_a_writable_caller_array(block):
+    p = BlockPoint([1.0, 2.0], [3.0])
+    v = np.full(getattr(p, "n_" + block), 4.0)
+    q = replace_block(p, block, v)
+    v[0] = 99.0
+    assert getattr(q, block)[0] == 4.0
+    assert not getattr(q, block).flags.writeable
+    assert v.flags.writeable  # the caller's array is left as it was
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_replacement_turns_a_0d_block_into_shape_1(block):
+    p = BlockPoint([1.0], [2.0])
+    q = replace_block(p, block, np.array(6.0))
+    assert getattr(q, block).shape == (1,)
+    assert getattr(q, block)[0] == 6.0
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_replacement_of_wrong_size_is_caught_by_check_point(block):
+    obj = SmallQuadratic()
+    p = BlockPoint([1.0, 2.0], [3.0])
+    q = replace_block(p, block, np.zeros(getattr(p, "n_" + block) + 1))
+    with pytest.raises(DimensionMismatch):
+        obj.check_point(q)
+
+
 def test_blockpoint_empty_y_block():
     p = BlockPoint([1.0])
     assert p.n_y == 0 and p.y.shape == (0,)

@@ -384,6 +384,7 @@ def test_stationary_y_inner_descent_fallback():
     f = obj.value(p)
     q, res, f_after, gy = stationary_y(obj, p, f, 1e-8, check_tol_for(f))
     assert res <= 1e-8
+    assert np.linalg.norm(obj.grad_y(q)) == res
     assert f_after == obj.value(q)
     np.testing.assert_array_equal(gy, obj.grad_y(q))
     assert obj.value(q) <= obj.value(p)
