@@ -4,10 +4,10 @@ Turns the convergence analysis into machine checks along an actual run:
 
 - per step: the x-update decreased f by at least ||grad_x||^2 / (2 e_t), and
   the y-update did not increase f (``check_step``);
-- in aggregate: the telescoping sum of certified decreases is bounded by the
-  total f drop (``verify_telescope``);
-- the min-gradient rate: min_t ||grad||^2 <= 2 e_max (f_0 - f_T) / T
-  (``min_grad_bound``), which is the O(1/sqrt(T)) guarantee.
+- at every prefix (``accumulate``, which ``solve()`` and the trace audit
+  both fold through): the telescoping sum of certified decreases is bounded
+  by the f drop so far, and min_t ||grad||^2 <= 2 e_max (f_0 - f_t) / t,
+  the O(1/sqrt(T)) guarantee.
 
 The gradient norm recorded per step is the x-block one; it stands in for the
 full gradient because the y block is stationary (to within the recorded
@@ -64,6 +64,7 @@ class Certificate:
     """Running aggregate of a record sequence.
 
     Fold identities: ``e_min``/``min_grad_sq`` start at +inf, ``e_max`` at 0.
+    ``telescope_ok``/``rate_bound_ok`` say the bound held at every prefix.
     ``invalidated`` marks a certificate whose run aborted mid-iteration; it is
     returned for diagnosis but never counts as passing.
     """
@@ -77,6 +78,7 @@ class Certificate:
     min_grad_sq: float = math.inf
     max_gy_residual: float = 0.0
     telescope_ok: bool = True
+    rate_bound_ok: bool = True
     all_steps_ok: bool = True
     invalidated: bool = False
 
@@ -92,7 +94,8 @@ class Certificate:
         return 2.0 * self.e_max * (self.f0 - self.f_final) / self.num_steps
 
     def passed(self) -> bool:
-        return self.all_steps_ok and self.telescope_ok and not self.invalidated
+        return (self.all_steps_ok and self.telescope_ok and self.rate_bound_ok
+                and not self.invalidated)
 
 
 def check_tol_for(f0: float) -> float:
@@ -130,30 +133,34 @@ def accumulate(cert: Certificate, rec: IterationRecord) -> Certificate:
     """Fold one record into the certificate; returns a new Certificate.
 
     Records must arrive in order: rec.t equal to the number already folded.
+    At the new prefix it checks the telescoped bound running_sum <= f0 - f_t
+    and the rate bound min_grad_sq <= rate_bound, within ``check_tol_for(f0)``.
     """
     if rec.t != cert.num_steps:
         raise OutOfOrderRecord(
             f"record t={rec.t} after {cert.num_steps} accumulated steps"
         )
+    tol = check_tol_for(cert.f0)
+    num_steps = cert.num_steps + 1
+    running_sum = cert.running_sum + rec.gx_norm_sq / (2.0 * rec.e_t)
+    e_max = max(cert.e_max, rec.e_t)
+    min_grad_sq = min(cert.min_grad_sq, rec.gx_norm_sq)
+    drop = cert.f0 - rec.f_after_y
+    rate_bound = 2.0 * e_max * drop / num_steps  # Certificate.rate_bound's arithmetic
     return Certificate(
         f0=cert.f0,
         f_final=rec.f_after_y,
-        num_steps=cert.num_steps + 1,
-        running_sum=cert.running_sum + rec.gx_norm_sq / (2.0 * rec.e_t),
-        e_max=max(cert.e_max, rec.e_t),
+        num_steps=num_steps,
+        running_sum=running_sum,
+        e_max=e_max,
         e_min=min(cert.e_min, rec.e_t),
-        min_grad_sq=min(cert.min_grad_sq, rec.gx_norm_sq),
+        min_grad_sq=min_grad_sq,
         max_gy_residual=max(cert.max_gy_residual, rec.gy_residual),
-        telescope_ok=cert.telescope_ok,
+        telescope_ok=cert.telescope_ok and running_sum <= drop + tol,
+        rate_bound_ok=cert.rate_bound_ok and min_grad_sq <= rate_bound + tol,
         all_steps_ok=cert.all_steps_ok and rec.suff_ok,
         invalidated=cert.invalidated,
     )
-
-
-def verify_telescope(cert: Certificate, tol: float) -> bool:
-    """Check the telescoped bound: sum of certified decreases <= f0 - f_final + tol."""
-    cert.telescope_ok = cert.running_sum <= (cert.f0 - cert.f_final) + tol
-    return cert.telescope_ok
 
 
 def min_grad_bound(cert: Certificate):

@@ -37,7 +37,7 @@ from .errors import (
     TamperDetected,
 )
 from .numerics import fd_check_gradients, probe_lipschitz_x
-from .problem import BlockPoint
+from .problem import BlockPoint, checked_grad, checked_value, positive_lipschitz
 from .problems import (
     FAMILY_NAMES,
     LipschitzOverride,
@@ -256,6 +256,7 @@ def _summarize(cfg: RunConfig, result) -> dict:
         "min_grad_sq": _num(cert.min_grad_sq),
         "rate_bound": _num(cert.rate_bound),
         "telescope_ok": cert.telescope_ok,
+        "rate_bound_ok": cert.rate_bound_ok,
         "all_steps_ok": cert.all_steps_ok,
         "certified": cert.passed(),
         "max_gy_residual": _num(cert.max_gy_residual),
@@ -330,8 +331,11 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
     Three groups: central finite differences against both gradient blocks,
     declared exact minimizers actually zeroing their block gradient (and not
     increasing f), and the sampled secant-ratio probe never exceeding the
-    declared Lipschitz oracle by more than a factor 1 + 1e-6.
+    declared Lipschitz oracle by more than a factor 1 + 1e-6. Oracle answers
+    are checked as in ``solve()``: a NaN or wrong-size one raises.
     """
+    if points < 1:
+        raise ValueError("points must be at least 1")
     checks = []
     starts = [random_start(obj, seed + i) for i in range(points)]
 
@@ -364,7 +368,6 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
             return p.x if block == "y" else p.y
 
         minimize = obj.exact_min_y if block == "y" else obj.exact_min_x
-        grad = obj.grad_y if block == "y" else obj.grad_x
         if minimize(fixed(probe_points[0])) is None:
             checks.append({"name": f"exact_min_{block}", "status": "skipped (no oracle)"})
             continue
@@ -373,11 +376,12 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
         for p in probe_points:
             star = minimize(fixed(p))
             q = p.with_y(star) if block == "y" else p.with_x(star)
-            res = float(np.linalg.norm(grad(q)))
-            base = max(1.0, float(np.linalg.norm(grad(p))))
+            obj.check_point(q)
+            res = float(np.linalg.norm(checked_grad(obj, q, block)))
+            base = max(1.0, float(np.linalg.norm(checked_grad(obj, p, block))))
             worst_res = max(worst_res, res / base)
-            f_p = float(obj.value(p))
-            if res > 1e-10 * base or float(obj.value(q)) > f_p + check_tol_for(f_p):
+            f_p = checked_value(obj, p)
+            if res > 1e-10 * base or checked_value(obj, q) > f_p + check_tol_for(f_p):
                 ok = False
         checks.append(
             {
@@ -397,9 +401,9 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
             ok = True
             worst_ratio = 0.0
             for p in starts[: min(3, len(starts))]:
-                declared = float(obj.lipschitz_x(p.y))
+                declared = positive_lipschitz(obj.lipschitz_x(p.y))
                 probe = probe_lipschitz_x(obj, p.y, (-2.0, 2.0), samples=100, seed=seed)
-                worst_ratio = max(worst_ratio, probe / declared if declared else math.inf)
+                worst_ratio = max(worst_ratio, probe / declared)
                 if probe > declared * (1.0 + 1e-6):
                     ok = False
             checks.append(
@@ -418,7 +422,7 @@ def cmd_check(cfg: RunConfig, points: int, seed: int, quiet: bool = False) -> in
     try:
         obj = _build_objective(cfg)
         passed, payload = run_oracle_checks(obj, points=points, seed=seed)
-    except BcdcertError as exc:
+    except (BcdcertError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload["family"] = cfg.spec.family

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegion, NonFiniteValue
-from .problem import BlockPoint, Objective
+from .errors import DegenerateRegion
+from .problem import BlockPoint, Objective, checked_grad, checked_value
 
 
 @dataclass
@@ -35,10 +35,7 @@ def _central_diff(obj, p, block, i, h):
         hi, lo = p.with_x(base + e), p.with_x(base - e)
     else:
         hi, lo = p.with_y(base + e), p.with_y(base - e)
-    f_hi, f_lo = obj.value(hi), obj.value(lo)
-    if not (np.isfinite(f_hi) and np.isfinite(f_lo)):
-        raise NonFiniteValue(f"objective non-finite while probing {block}[{i}]")
-    return (f_hi - f_lo) / (2.0 * h)
+    return (checked_value(obj, hi) - checked_value(obj, lo)) / (2.0 * h)
 
 
 def fd_check_gradients(obj: Objective, p: BlockPoint, h: float | None = None) -> FiniteDiffReport:
@@ -47,13 +44,14 @@ def fd_check_gradients(obj: Objective, p: BlockPoint, h: float | None = None) ->
     With ``h=None``, each coordinate uses 1e-5 * max(1, |coordinate|), which
     balances truncation and rounding in double precision. Relative error is
     denominated by max(1, |analytic|) so it degrades gracefully to absolute
-    error near zero.
+    error near zero. A gradient of the wrong size or with NaN/Inf entries, or
+    a non-finite value at a probe point, raises instead of being compared.
     """
     if h is not None and not h > 0:
         raise ValueError("h must be positive")
     obj.check_point(p)
-    gx = np.asarray(obj.grad_x(p), dtype=float).ravel()
-    gy = np.asarray(obj.grad_y(p), dtype=float).ravel()
+    gx = checked_grad(obj, p, "x")
+    gy = checked_grad(obj, p, "y")
 
     max_rel = 0.0
     max_abs = 0.0
@@ -103,8 +101,8 @@ def probe_lipschitz_x(
         dist = float(np.linalg.norm(xb - xa))
         if dist == 0.0:
             continue
-        ga = obj.grad_x(BlockPoint(xa, y))
-        gb = obj.grad_x(BlockPoint(xb, y))
+        ga = checked_grad(obj, BlockPoint(xa, y), "x")
+        gb = checked_grad(obj, BlockPoint(xb, y), "x")
         ratio = float(np.linalg.norm(gb - ga)) / dist
         if ratio > best:
             best = ratio

@@ -131,11 +131,30 @@ class Objective:
 
 
 def checked_value(obj: Objective, p: BlockPoint) -> float:
-    """``obj.value(p)`` as a float, raising NonFiniteValue unless it is finite."""
-    f = float(obj.value(p))
+    """``obj.value(p)`` as a float.
+
+    Raises DimensionMismatch unless it is a scalar and NonFiniteValue unless
+    it is finite.
+    """
+    v = obj.value(p)
+    try:
+        f = float(v)
+    except TypeError:
+        raise DimensionMismatch(f"objective value has shape {np.shape(v)}, expected a scalar") from None
     if not math.isfinite(f):
         raise NonFiniteValue(f"objective value is {f!r} at {p!r}")
     return f
+
+
+def positive_lipschitz(lip) -> float:
+    """A declared ``lipschitz_x`` as a float; it must be a finite, positive scalar."""
+    try:
+        lip = float(lip)
+    except TypeError:
+        raise DimensionMismatch(f"lipschitz_x has shape {np.shape(lip)}, expected a scalar") from None
+    if not (math.isfinite(lip) and lip > 0):
+        raise NonFiniteValue(f"lipschitz_x returned {lip!r}")
+    return lip
 
 
 def checked_grad(obj: Objective, p: BlockPoint, block: str) -> np.ndarray:

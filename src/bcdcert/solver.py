@@ -30,7 +30,6 @@ from .certificate import (
     accumulate,
     check_step,
     check_tol_for,
-    verify_telescope,
 )
 from .errors import BcdcertError
 from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
@@ -104,8 +103,8 @@ class RunResult:
 def _resolve_y_tol(obj, start, cfg):
     if cfg.y_tol is not None:
         return cfg.y_tol
-    gy0 = float(np.linalg.norm(np.asarray(obj.grad_y(start), dtype=float)))
-    if not math.isfinite(gy0):
+    gy0 = float(np.linalg.norm(checked_grad(obj, start, "y")))
+    if not math.isfinite(gy0):  # finite entries whose norm overflows
         gy0 = 1.0
     return 1e-10 * max(1.0, gy0)
 
@@ -115,44 +114,25 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     t_start = time.perf_counter()
     obj.check_point(start)
 
-    def abort(err, cert, history, point):
-        check_tol = check_tol_for(cert.f0)
-        cert.invalidated = True
-        verify_telescope(cert, check_tol)
-        return RunResult(
-            final=point,
-            certificate=cert,
-            history=history,
-            stop_reason=StopReason.ERROR,
-            wall_time=time.perf_counter() - t_start,
-            y_tol=y_tol,
-            check_tol=check_tol,
-            init_y_residual=init_residual,
-            error=err,
-        )
-
     y_tol = math.nan
     init_residual = 0.0
-    f_cur = math.nan
-    try:
-        y_tol = _resolve_y_tol(obj, start, cfg)
-        f_cur = checked_value(obj, start)
-        # f0 is not known until the y block is solved, so this one solve
-        # takes its tolerance from f at the start point.
-        point, init_residual, f_cur, gy = stationary_y(
-            obj, start, f_cur, y_tol, check_tol_for(f_cur)
-        )
-    except BcdcertError as err:
-        return abort(err, Certificate.fresh(f_cur), [], start)
-
-    check_tol = check_tol_for(f_cur)
-    cert = Certificate.fresh(f_cur)
+    point = start
+    cert = Certificate.fresh(math.nan)
     history: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS
-    params = cfg.backtrack
-
-    for t in range(cfg.max_iters):
-        try:
+    error: BcdcertError | None = None
+    try:
+        y_tol = _resolve_y_tol(obj, start, cfg)
+        # Until the y block is solved, f at the start stands in for f0: it
+        # is what an error result reports, and this one solve's tolerance.
+        cert = Certificate.fresh(checked_value(obj, start))
+        point, init_residual, f_cur, gy = stationary_y(
+            obj, start, cert.f0, y_tol, check_tol_for(cert.f0)
+        )
+        check_tol = check_tol_for(f_cur)
+        cert = Certificate.fresh(f_cur)
+        params = cfg.backtrack
+        for t in range(cfg.max_iters):
             gx = checked_grad(obj, point, "x")
             gx_norm_sq = float(gx @ gx)
             if math.sqrt(gx_norm_sq + float(gy @ gy)) <= cfg.grad_tol:
@@ -171,23 +151,24 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             point, residual, f_after_y, gy = stationary_y(
                 obj, upd.point, upd.f_next, y_tol, check_tol
             )
-        except BcdcertError as err:
-            return abort(err, cert, history, point)
-        rec = IterationRecord(
-            t=t,
-            f_before=f_cur,
-            f_after_x=upd.f_next,
-            f_after_y=f_after_y,
-            gx_norm_sq=gx_norm_sq,
-            gy_residual=residual,
-            e_t=upd.e_t,
-        )
-        check_step(rec, check_tol)
-        cert = accumulate(cert, rec)
-        history.append(rec)
-        f_cur = f_after_y
+            rec = IterationRecord(
+                t=t,
+                f_before=f_cur,
+                f_after_x=upd.f_next,
+                f_after_y=f_after_y,
+                gx_norm_sq=gx_norm_sq,
+                gy_residual=residual,
+                e_t=upd.e_t,
+            )
+            check_step(rec, check_tol)
+            cert = accumulate(cert, rec)
+            history.append(rec)
+            f_cur = f_after_y
+    except BcdcertError as err:
+        error = err
+        stop = StopReason.ERROR
 
-    verify_telescope(cert, check_tol)
+    cert.invalidated = error is not None
     return RunResult(
         final=point,
         certificate=cert,
@@ -195,8 +176,9 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
         stop_reason=stop,
         wall_time=time.perf_counter() - t_start,
         y_tol=y_tol,
-        check_tol=check_tol,
+        check_tol=check_tol_for(cert.f0),
         init_y_residual=init_residual,
+        error=error,
     )
 
 
@@ -219,37 +201,35 @@ def solve_gd_baseline(
     e_t = 1.0 / step if step > 0 else 1.0
 
     point = start
-    f_cur, gx, gy = evaluate(obj, point)
-    check_tol = check_tol_for(f_cur)
-    cert = Certificate.fresh(f_cur)
+    cert = Certificate.fresh(math.nan)
     history: list[IterationRecord] = []
     stop = StopReason.MAX_ITERS
     error: BcdcertError | None = None
-
-    for t in range(max_iters):
-        try:
+    try:
+        f_cur, gx, gy = evaluate(obj, point)
+        check_tol = check_tol_for(f_cur)
+        cert = Certificate.fresh(f_cur)
+        for t in range(max_iters):
             nxt = full_gradient_step(point, gx, gy, step)
             f_next, gx_next, gy_next = evaluate(obj, nxt)
-        except BcdcertError as err:
-            error = err
-            stop = StopReason.ERROR
-            cert.invalidated = True
-            break
-        rec = IterationRecord(
-            t=t,
-            f_before=f_cur,
-            f_after_x=f_next,
-            f_after_y=f_next,
-            gx_norm_sq=float(gx @ gx) + float(gy @ gy),
-            gy_residual=float(np.linalg.norm(gy)),
-            e_t=e_t,
-        )
-        check_step(rec, check_tol)
-        cert = accumulate(cert, rec)
-        history.append(rec)
-        point, f_cur, gx, gy = nxt, f_next, gx_next, gy_next
+            rec = IterationRecord(
+                t=t,
+                f_before=f_cur,
+                f_after_x=f_next,
+                f_after_y=f_next,
+                gx_norm_sq=float(gx @ gx) + float(gy @ gy),
+                gy_residual=float(np.linalg.norm(gy)),
+                e_t=e_t,
+            )
+            check_step(rec, check_tol)
+            cert = accumulate(cert, rec)
+            history.append(rec)
+            point, f_cur, gx, gy = nxt, f_next, gx_next, gy_next
+    except BcdcertError as err:
+        error = err
+        stop = StopReason.ERROR
 
-    verify_telescope(cert, check_tol)
+    cert.invalidated = error is not None
     return RunResult(
         final=point,
         certificate=cert,
@@ -257,6 +237,6 @@ def solve_gd_baseline(
         stop_reason=stop,
         wall_time=time.perf_counter() - t_start,
         y_tol=math.nan,
-        check_tol=check_tol,
+        check_tol=check_tol_for(cert.f0),
         error=error,
     )

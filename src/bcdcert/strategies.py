@@ -33,7 +33,7 @@ from .errors import (
     NonFiniteValue,
     SufficientDecreaseViolated,
 )
-from .problem import BlockPoint, Objective, checked_grad, checked_value
+from .problem import BlockPoint, Objective, checked_grad, checked_value, positive_lipschitz
 
 _INNER_CAP = 50_000
 
@@ -70,13 +70,6 @@ class BacktrackParams:
             raise ValueError("max_rejects must be at least 1")
 
 
-def _positive_lipschitz(lip) -> float:
-    lip = float(lip)
-    if not (math.isfinite(lip) and lip > 0):
-        raise NonFiniteValue(f"lipschitz_x returned {lip!r}")
-    return lip
-
-
 def _verify_decrease(f: float, f_next: float, gx: np.ndarray, lip: float, tol: float, culprit: str):
     g_sq = float(gx @ gx)
     if not sufficient_decrease(f, f_next, g_sq, lip, tol):
@@ -97,7 +90,7 @@ def fixed_step_gradient_x(
     lip = obj.lipschitz_x(p.y)
     if lip is None:
         raise MissingLipschitzOracle("fixed-step update needs obj.lipschitz_x(y)")
-    lip = _positive_lipschitz(lip)
+    lip = positive_lipschitz(lip)
     point = p.with_x(p.x - gx / lip)
     f_next = checked_value(obj, point)
     _verify_decrease(f, f_next, gx, lip, tol, "lipschitz_x")
@@ -118,7 +111,7 @@ def exact_min_x(
     x_next = obj.exact_min_x(p.y)
     if x_next is None:
         raise MissingExactMinimizer("objective provides no exact_min_x oracle")
-    lip = _positive_lipschitz(lip)
+    lip = positive_lipschitz(lip)
     point = p.with_x(x_next)
     obj.check_point(point)
     f_next = checked_value(obj, point)
@@ -143,11 +136,14 @@ def backtracking_gradient_x(
     l_hat = params.l_init
     for trials in range(1, params.max_rejects + 2):
         trial = p.with_x(p.x - gx / l_hat)
-        f_try = float(obj.value(trial))
+        try:
+            f_try = checked_value(obj, trial)
+        except NonFiniteValue:
+            f_try = math.inf  # fails the test below: a rejection
         # tol keeps tiny gradients workable: once ||g||^2/(2L) falls under
         # the roundoff of the f subtraction, an exact test would reject
         # every estimate and exhaust.
-        if math.isfinite(f_try) and sufficient_decrease(f, f_try, g_sq, l_hat, tol):
+        if sufficient_decrease(f, f_try, g_sq, l_hat, tol):
             return XUpdateResult(trial, f_try, l_hat, trials)
         l_hat *= params.growth
     raise BacktrackExhausted(
@@ -173,10 +169,13 @@ def _inner_descent_y(obj, p, f, y_tol, tol):
             return point, res, f, gy
         for _ in range(200):
             trial = point.with_y(point.y - gy / l_hat)
-            f_try = float(obj.value(trial))
+            try:
+                f_try = checked_value(obj, trial)
+            except NonFiniteValue:
+                f_try = math.inf  # fails the test below: a rejection
             # tol matters here: near stationarity the true decrease is
             # ~||gy||^2/l, far below the roundoff of the f subtraction.
-            if math.isfinite(f_try) and sufficient_decrease(f, f_try, g_sq, l_hat, tol):
+            if sufficient_decrease(f, f_try, g_sq, l_hat, tol):
                 point, f = trial, f_try
                 break
             l_hat *= 2.0

@@ -177,8 +177,9 @@ def verify_trace(rows: list[TraceRow]) -> TraceVerdict:
     Raises TamperDetected (naming the first offending row) if the f-chain
     between consecutive rows is broken or any recorded derived column
     disagrees with recomputation. Otherwise returns a TraceVerdict carrying
-    the prefix telescope check, the prefix min-gradient rate-bound check, and
-    the fitted log-log slope of the min-so-far gradient norm.
+    the refolded certificate's verdicts (the step checks and the telescoped
+    and rate bounds at every prefix, all decided by ``accumulate``) and the
+    fitted log-log slope of the min-so-far gradient norm.
 
     Every check uses ``check_tol_for(f0)`` with f0 taken from the first row,
     the tolerance the run that wrote the trace used.
@@ -194,9 +195,6 @@ def verify_trace(rows: list[TraceRow]) -> TraceVerdict:
             slope=None,
             slope_note="insufficient history",
         )
-    f0 = rows[0].record.f_before
-    check_tol = check_tol_for(f0)
-
     for t in range(1, len(rows)):
         if rows[t].record.f_before != rows[t - 1].record.f_after_y:
             raise TamperDetected(
@@ -205,10 +203,6 @@ def verify_trace(rows: list[TraceRow]) -> TraceVerdict:
 
     records = [dataclasses.replace(row.record) for row in rows]
     derived, cert = fold_records(records)
-
-    telescope_ok = True
-    rate_ok = True
-    min_sq = math.inf
     for row, rec, (ok, cum, rb) in zip(rows, records, derived):
         if row.record.suff_ok != ok:
             raise TamperDetected(f"row {rec.t}: suff_ok flag does not refold")
@@ -216,12 +210,6 @@ def verify_trace(rows: list[TraceRow]) -> TraceVerdict:
             raise TamperDetected(f"row {rec.t}: cum_sum does not refold")
         if row.rate_bound_prefix != rb:
             raise TamperDetected(f"row {rec.t}: rate_bound_prefix does not refold")
-        min_sq = min(min_sq, rec.gx_norm_sq)
-        if cum > (f0 - rec.f_after_y) + check_tol:
-            telescope_ok = False
-        if min_sq > rb + check_tol:
-            rate_ok = False
-    cert.telescope_ok = telescope_ok
 
     slope = None
     try:
@@ -234,10 +222,10 @@ def verify_trace(rows: list[TraceRow]) -> TraceVerdict:
 
     return TraceVerdict(
         num_rows=len(rows),
-        check_tol=check_tol,
+        check_tol=check_tol_for(cert.f0),
         all_steps_ok=cert.all_steps_ok,
-        telescope_ok=telescope_ok,
-        rate_bound_ok=rate_ok,
+        telescope_ok=cert.telescope_ok,
+        rate_bound_ok=cert.rate_bound_ok,
         certificate=cert,
         slope=slope,
         slope_note=note,

@@ -36,35 +36,46 @@ def zoo_start(obj, seed=0):
     return random_start(obj, seed)
 
 
-class GradXTurnsNaN(Objective):
-    """Delegates to ``inner``, except that its ``fail_at``-th grad_x call returns NaN."""
+class BreaksAtCall(Objective):
+    """Delegates to ``inner`` until its ``fail_at``-th oracle call of ``kind``.
 
-    def __init__(self, inner, fail_at=3):
+    That call returns NaN, or with ``wrong_size`` an array one entry too
+    long (a 2-vector for the scalar oracles).
+    """
+
+    KINDS = ("value", "grad_x", "grad_y", "exact_min_x", "exact_min_y", "lipschitz_x")
+
+    def __init__(self, inner, kind, fail_at, wrong_size):
         self.inner = inner
-        self.n_x = inner.n_x
-        self.n_y = inner.n_y
-        self.fail_at = fail_at
-        self.grad_x_calls = 0
+        self.n_x, self.n_y = inner.n_x, inner.n_y
+        self.kind, self.fail_at, self.wrong_size = kind, fail_at, wrong_size
+        self.calls = 0
+
+    def _pass(self, kind, out):
+        if kind != self.kind or out is None:
+            return out
+        self.calls += 1
+        if self.calls != self.fail_at:
+            return out
+        if np.ndim(out) == 0:
+            return np.array([out, out]) if self.wrong_size else float("nan")
+        out = np.asarray(out, dtype=float)
+        return np.append(out, 1.0) if self.wrong_size else np.full_like(out, np.nan)
 
     def value(self, p):
-        return self.inner.value(p)
+        return self._pass("value", self.inner.value(p))
 
     def grad_x(self, p):
-        self.grad_x_calls += 1
-        g = np.asarray(self.inner.grad_x(p), dtype=float)
-        return np.full_like(g, np.nan) if self.grad_x_calls == self.fail_at else g
+        return self._pass("grad_x", self.inner.grad_x(p))
 
     def grad_y(self, p):
-        return self.inner.grad_y(p)
-
-    def exact_min_y(self, x):
-        return self.inner.exact_min_y(x)
+        return self._pass("grad_y", self.inner.grad_y(p))
 
     def exact_min_x(self, y):
-        return self.inner.exact_min_x(y)
+        return self._pass("exact_min_x", self.inner.exact_min_x(y))
+
+    def exact_min_y(self, x):
+        return self._pass("exact_min_y", self.inner.exact_min_y(x))
 
     def lipschitz_x(self, y):
-        return self.inner.lipschitz_x(y)
-
-    def lower_bound(self):
-        return self.inner.lower_bound()
+        return self._pass("lipschitz_x", self.inner.lipschitz_x(y))

@@ -8,9 +8,9 @@ from bcdcert.certificate import (
     IterationRecord,
     accumulate,
     check_step,
+    check_tol_for,
     fit_rate,
     min_grad_bound,
-    verify_telescope,
 )
 from bcdcert.errors import (
     DegenerateFit,
@@ -18,6 +18,7 @@ from bcdcert.errors import (
     InsufficientHistory,
     OutOfOrderRecord,
 )
+from bcdcert.traceio import read_trace, verify_trace, write_trace
 
 
 def rec(t, f_before, f_after_x, f_after_y, gx_sq, e_t, gy_res=0.0):
@@ -83,7 +84,8 @@ def test_accumulate_folds_the_worked_chain():
     assert cert.e_max == cert.e_min == 1.0
     assert cert.min_grad_sq == 0.0625
     assert cert.rate_bound == 0.234375  # 2*1*(0.25-0.015625)/2
-    assert verify_telescope(cert, tol=0.0)
+    assert cert.running_sum <= cert.f0 - cert.f_final  # exact, no tolerance
+    assert cert.telescope_ok and cert.rate_bound_ok
     assert cert.passed()
 
 
@@ -110,13 +112,62 @@ def test_failed_step_poisons_all_steps_ok():
     assert not cert.passed()
 
 
-def test_verify_telescope_detects_an_inflated_sum():
+def test_fold_detects_an_inflated_sum():
     cert = Certificate.fresh(1.0)
     # claims a decrease of 10 against an actual f drop of 0.5
     r = rec(0, 1.0, 0.5, 0.5, 20.0, 1.0)
     check_step(r, tol=1e-10)
     cert = accumulate(cert, r)
-    assert verify_telescope(cert, tol=1e-10) is False
+    assert cert.telescope_ok is False
+    assert not cert.passed()
+
+
+def telescope_fails_only_at_prefix_0():
+    """f0 = 1: record 0 meets both step checks exactly at tol, record 1 has slack.
+
+    Record 0's certified decrease is 0.5 + tol while f drops by 0.5 - tol, so
+    prefix 0 breaks the telescoped bound by tol; record 1 claims 0.25 of a
+    0.5 + tol drop, so the whole run satisfies it.
+    """
+    tol = check_tol_for(1.0)
+    return [
+        rec(0, 1.0, 0.5, 0.5 + tol, 0.25 * (0.5 + tol), 0.125),
+        rec(1, 0.5 + tol, 0.0, 0.0, 0.0625, 0.125),
+    ]
+
+
+def test_telescope_is_checked_at_every_prefix():
+    tol = check_tol_for(1.0)
+    records = telescope_fails_only_at_prefix_0()
+    assert all(check_step(r, tol) for r in records)
+    cert = Certificate.fresh(1.0)
+    cert = accumulate(cert, records[0])
+    assert not cert.telescope_ok and cert.rate_bound_ok
+    cert = accumulate(cert, records[1])
+    # the final prefix alone would pass
+    assert cert.running_sum <= (cert.f0 - cert.f_final) + tol
+    assert cert.all_steps_ok and cert.rate_bound_ok
+    assert not cert.telescope_ok and not cert.passed()
+
+
+def test_trace_audit_agrees_with_the_fold(tmp_path):
+    path = str(tmp_path / "prefix.trace.csv")
+    write_trace(path, telescope_fails_only_at_prefix_0())
+    verdict = verify_trace(read_trace(path))
+    assert verdict.all_steps_ok and verdict.rate_bound_ok
+    assert not verdict.telescope_ok and not verdict.passed()
+    assert verdict.certificate.telescope_ok is False
+
+
+def test_fold_checks_the_rate_bound():
+    # one certified step meeting the telescoped bound exactly: g^2 = 8 (0.5 + tol)
+    # exceeds 2 e_max (f0 - f_1) / 1 + tol = 4 + tol
+    tol = check_tol_for(1.0)
+    r = rec(0, 1.0, 0.5, 0.5, 8.0 * (0.5 + tol), 4.0)
+    assert check_step(r, tol)
+    cert = accumulate(Certificate.fresh(1.0), r)
+    assert cert.all_steps_ok and cert.telescope_ok
+    assert cert.rate_bound_ok is False
     assert not cert.passed()
 
 
@@ -144,7 +195,7 @@ def test_invalidated_certificate_never_passes():
     r = CHAIN[0]
     check_step(r, tol=1e-10)
     cert = accumulate(cert, r)
-    verify_telescope(cert, tol=1e-10)
+    assert cert.passed()
     cert.invalidated = True
     assert not cert.passed()
 

@@ -16,12 +16,12 @@ from bcdcert.cli import (
     parse_config,
     run_oracle_checks,
 )
-from bcdcert.errors import ConfigError
+from bcdcert.errors import ConfigError, DimensionMismatch, NonFiniteValue
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import CoupledQuadratic, make_problem
 from bcdcert.traceio import read_trace, write_json
 
-from conftest import zoo_problem
+from conftest import BreaksAtCall, zoo_problem
 
 
 def write_cfg(tmp_path, text, name="cfg.ini"):
@@ -320,33 +320,70 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def cli_process(*args):
+    """A real Python process running ``args``, with src/ and tests/ importable."""
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests_dir.parent / "src"), str(tests_dir)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_run_baseline_whose_start_value_is_not_finite_writes_a_summary(tmp_path):
+    # the certified run fails cleanly at the start; the baseline must too,
+    # instead of dying with a traceback before summary.json is written
+    cfg = write_cfg(
+        tmp_path,
+        """
+        [problem]
+        family = two_block_rosenbrock
+
+        [solver]
+        x_strategy = backtracking
+        start_x = 1e200
+        start_y = 0.0
+
+        [baseline]
+        step = 0.01
+        """,
+    )
+    out = str(tmp_path / "huge")
+    proc = cli_process("-W", "ignore::RuntimeWarning", "-m", "bcdcert.cli",
+                       "run", "--config", cfg, "--out", out, "--quiet")
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    summary = json.loads(
+        Path(out + ".summary.json").read_text(), parse_constant=_reject_constant
+    )
+    base = summary["baseline"]
+    assert base["error"]["type"] == "NonFiniteValue"
+    assert base["stop_reason"] == "error"
+    assert base["f0"] is None and base["T"] == 0
+    assert read_trace(out + ".baseline.trace.csv") == []
+
+
 def test_run_survives_an_oracle_that_breaks_mid_run(tmp_path):
     # a real `bcdcert run` process whose objective's third grad_x is NaN:
     # operational exit code, summary and partial trace written, no traceback
     cfg = write_cfg(tmp_path, COUPLED)
     out = str(tmp_path / "broken")
-    tests_dir = Path(__file__).resolve().parent
-    src_dir = tests_dir.parent / "src"
     script = textwrap.dedent(
         """
         import sys
         import bcdcert.cli as cli
-        from conftest import GradXTurnsNaN
+        from conftest import BreaksAtCall
 
         make = cli.make_problem
-        cli.make_problem = lambda spec: GradXTurnsNaN(make(spec))
+        cli.make_problem = lambda spec: BreaksAtCall(make(spec), "grad_x", 3, False)
         sys.argv = ["bcdcert"] + sys.argv[1:]
         cli.entry()
         """
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src_dir), str(tests_dir)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "run", "--config", cfg, "--out", out],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = cli_process("-c", script, "run", "--config", cfg, "--out", out)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -483,6 +520,38 @@ def test_check_quiet_still_prints_json(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.lstrip().startswith("{")
     assert json.loads(out)["passed"] is True
+
+
+def test_check_rejects_zero_points(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, COUPLED)
+    assert run_cli(["check", "--config", cfg, "--points", "0"]) == 1
+    assert capsys.readouterr().err == "error: points must be at least 1\n"
+    with pytest.raises(ValueError):
+        run_oracle_checks(zoo_problem("coupled_quadratic"), points=0)
+
+
+@pytest.mark.parametrize(
+    "kind,fail_at,wrong_size,error",
+    [
+        ("grad_x", 1, False, NonFiniteValue),
+        ("grad_y", 1, True, DimensionMismatch),
+        ("lipschitz_x", 2, False, NonFiniteValue),  # call 1 only asks whether it exists
+    ],
+)
+def test_oracle_checks_refuse_a_broken_oracle(
+    tmp_path, capsys, monkeypatch, kind, fail_at, wrong_size, error
+):
+    # these once passed (NaN compares false against every threshold) or
+    # crashed with an IndexError
+    def broken(spec):
+        return BreaksAtCall(make_problem(spec), kind, fail_at, wrong_size)
+
+    cfg = write_cfg(tmp_path, COUPLED)
+    with pytest.raises(error):
+        run_oracle_checks(broken(parse_config(cfg).spec), points=3, seed=0)
+    monkeypatch.setattr("bcdcert.cli.make_problem", broken)
+    assert run_cli(["check", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_oracle_checks_name_a_broken_gradient_coordinate():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from bcdcert.errors import DegenerateRegion
+from bcdcert.errors import DegenerateRegion, DimensionMismatch, NonFiniteValue
 from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import CoupledQuadratic, TightQuadratic
 
-from conftest import ZOO_PARAMS, zoo_problem
+from conftest import ZOO_PARAMS, BreaksAtCall, zoo_problem
 
 
 def _random_coupled(seed):
@@ -55,6 +55,28 @@ def test_fd_explicit_step_is_honored():
     rep = fd_check_gradients(obj, p, h=1e-6)
     assert rep.h == 1e-6
     assert rep.max_rel_err <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "kind,wrong_size,error",
+    [
+        ("grad_x", False, NonFiniteValue),
+        ("grad_y", True, DimensionMismatch),
+        ("value", True, DimensionMismatch),
+    ],
+)
+def test_fd_refuses_a_broken_oracle(kind, wrong_size, error):
+    # a NaN gradient once came back with max_rel_err ~ 6e-12, and a gradient
+    # of the wrong size with an IndexError or a silent pass
+    bad = BreaksAtCall(_random_coupled(3), kind, 1, wrong_size)
+    with pytest.raises(error):
+        fd_check_gradients(bad, BlockPoint(np.ones(4), np.ones(3)))
+
+
+def test_lipschitz_probe_refuses_a_nan_gradient():
+    bad = BreaksAtCall(_random_coupled(3), "grad_x", 1, wrong_size=False)
+    with pytest.raises(NonFiniteValue):
+        probe_lipschitz_x(bad, np.zeros(3), (-1.0, 1.0), samples=10)
 
 
 # --- Lipschitz probe --------------------------------------------------------

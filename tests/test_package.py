@@ -1,0 +1,27 @@
+"""The package root: what ``import bcdcert`` offers and what the README shows."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import bcdcert
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_exported_name_resolves():
+    assert len(set(bcdcert.__all__)) == len(bcdcert.__all__)
+    missing = [name for name in bcdcert.__all__ if not hasattr(bcdcert, name)]
+    assert missing == []
+
+
+def test_readme_library_snippet_runs():
+    section = README.read_text().split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, "README.md", "exec"), {})
+    passed, rate_bound, min_grad_sq = out.getvalue().split()
+    assert passed == "True"
+    assert float(min_grad_sq) <= float(rate_bound)

@@ -8,17 +8,15 @@ both y-paths and runs that stop at the roundoff floor.
 import os
 import tempfile
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcdcert.errors import BcdcertError, TamperDetected
-from bcdcert.problem import Objective
 from bcdcert.solver import SolverConfig, StopReason, solve
 from bcdcert.traceio import read_trace, verify_trace, write_trace
 
-from conftest import ALL_COMBOS, zoo_problem, zoo_start
+from conftest import ALL_COMBOS, BreaksAtCall, zoo_problem, zoo_start
 
 SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -63,51 +61,6 @@ def test_written_history_verifies_as_the_run_certified(draw):
     assert [row.record.suff_ok for row in rows] == [rec.suff_ok for rec in res.history]
     if res.stop_reason is not StopReason.ERROR:
         assert verdict.passed() == res.certificate.passed()
-
-
-class BreaksAtCall(Objective):
-    """Delegates to ``inner`` until its ``fail_at``-th oracle call of ``kind``.
-
-    That call returns NaN, or for array-valued oracles with ``wrong_size``
-    an array one entry too long.
-    """
-
-    KINDS = ("value", "grad_x", "grad_y", "exact_min_x", "exact_min_y", "lipschitz_x")
-
-    def __init__(self, inner, kind, fail_at, wrong_size):
-        self.inner = inner
-        self.n_x, self.n_y = inner.n_x, inner.n_y
-        self.kind, self.fail_at, self.wrong_size = kind, fail_at, wrong_size
-        self.calls = 0
-
-    def _pass(self, kind, out):
-        if kind != self.kind or out is None:
-            return out
-        self.calls += 1
-        if self.calls != self.fail_at:
-            return out
-        if np.ndim(out) == 0:
-            return float("nan")
-        out = np.asarray(out, dtype=float)
-        return np.append(out, 1.0) if self.wrong_size else np.full_like(out, np.nan)
-
-    def value(self, p):
-        return self._pass("value", self.inner.value(p))
-
-    def grad_x(self, p):
-        return self._pass("grad_x", self.inner.grad_x(p))
-
-    def grad_y(self, p):
-        return self._pass("grad_y", self.inner.grad_y(p))
-
-    def exact_min_x(self, y):
-        return self._pass("exact_min_x", self.inner.exact_min_x(y))
-
-    def exact_min_y(self, x):
-        return self._pass("exact_min_y", self.inner.exact_min_y(x))
-
-    def lipschitz_x(self, y):
-        return self._pass("lipschitz_x", self.inner.lipschitz_x(y))
 
 
 @SETTINGS

@@ -19,7 +19,7 @@ from bcdcert.problems import (
 )
 from bcdcert.solver import RunResult, SolverConfig, StopReason, solve, solve_gd_baseline
 
-from conftest import ALL_COMBOS, GradXTurnsNaN, zoo_problem, zoo_start
+from conftest import ALL_COMBOS, BreaksAtCall, zoo_problem, zoo_start
 
 
 def test_worked_chain_is_reproduced_exactly():
@@ -115,7 +115,6 @@ def test_refold_reproduces_the_certificate():
     cert = Certificate.fresh(res.certificate.f0)
     for r in res.history:
         cert = accumulate(cert, r)
-    cert.telescope_ok = res.certificate.telescope_ok
     assert cert == res.certificate
 
 
@@ -173,7 +172,7 @@ def test_oracle_failure_at_a_later_iterate_returns_partial_history():
     # grad_x is called once per iterate, so the third call measures iterate 2:
     # two steps are done and recorded when the oracle breaks
     inner = zoo_problem("coupled_quadratic", seed=3)
-    obj = GradXTurnsNaN(inner, fail_at=3)
+    obj = BreaksAtCall(inner, "grad_x", 3, wrong_size=False)
     res = solve(obj, zoo_start(inner, 3), SolverConfig(max_iters=50))
     assert res.stop_reason is StopReason.ERROR
     assert isinstance(res.error, NonFiniteValue)
@@ -222,6 +221,66 @@ def test_non_finite_start_value_is_an_error_result():
     assert res.stop_reason is StopReason.ERROR
     assert isinstance(res.error, NonFiniteValue)
     assert res.history == [] and res.certificate.invalidated
+
+
+class _NoExactY(BreaksAtCall):
+    """Hides ``exact_min_y``, so the y block is solved by inner descent."""
+
+    def exact_min_y(self, x):
+        return None
+
+
+class _HugeStartGradY(CoupledQuadratic):
+    """Its first grad_y has finite entries whose norm overflows."""
+
+    def __init__(self, base):
+        super().__init__(base.A, base.B, base.C, base.a, base.c)
+        self.calls = 0
+
+    def grad_y(self, p):
+        self.calls += 1
+        return np.full(self.n_y, 1e200) if self.calls == 1 else super().grad_y(p)
+
+
+def test_nan_grad_y_at_the_start_is_an_error_result():
+    # the first grad_y call resolves y_tol; a NaN there used to become
+    # y_tol = 1e-10 and the run came back certified
+    base = zoo_problem("coupled_quadratic", seed=3)
+    obj = BreaksAtCall(base, "grad_y", 1, wrong_size=False)
+    res = solve(obj, zoo_start(base, 3), SolverConfig(max_iters=20))
+    assert res.stop_reason is StopReason.ERROR
+    assert isinstance(res.error, NonFiniteValue)
+    assert res.history == [] and not res.certificate.passed()
+
+
+def test_overflowing_start_gradient_norm_falls_back_to_unit_scale():
+    base = zoo_problem("coupled_quadratic", seed=3)
+    obj = _HugeStartGradY(base)
+    with np.errstate(over="ignore"):  # the norm overflowing is the point
+        res = solve(obj, zoo_start(base, 3), SolverConfig(max_iters=5))
+    assert res.y_tol == 1e-10
+    assert res.error is None
+
+
+@pytest.mark.parametrize(
+    "strategy,exact_y,fail_at",
+    [
+        ("fixed_step", True, 1),  # f at the start point
+        ("fixed_step", True, 2),  # f after the initial y-solve
+        ("backtracking", True, 3),  # the first backtracking trial
+        ("fixed_step", False, 2),  # the first inner y-descent trial
+    ],
+    ids=["start", "after-y-solve", "backtrack-trial", "inner-descent-trial"],
+)
+def test_vector_value_is_a_dimension_error_result(strategy, exact_y, fail_at):
+    base = zoo_problem("coupled_quadratic", seed=3)
+    obj = (BreaksAtCall if exact_y else _NoExactY)(base, "value", fail_at, wrong_size=True)
+    res = solve(obj, zoo_start(base, 3), SolverConfig(x_strategy=strategy, max_iters=20))
+    assert obj.calls >= fail_at
+    assert res.stop_reason is StopReason.ERROR
+    assert isinstance(res.error, DimensionMismatch)
+    assert "expected a scalar" in str(res.error)
+    assert not res.certificate.passed()
 
 
 def test_backtracking_estimate_never_shrinks_across_iterations():
