@@ -26,7 +26,6 @@ from .errors import (
     MissingExactMinimizer,
     MissingLipschitzOracle,
     NonFiniteValue,
-    OutOfOrderRecord,
     SchemaMismatch,
     SingularSystem,
     SufficientDecreaseViolated,
@@ -95,7 +94,6 @@ __all__ = [
     "MissingLipschitzOracle",
     "NonFiniteValue",
     "Objective",
-    "OutOfOrderRecord",
     "ProblemSpec",
     "RunResult",
     "SchemaMismatch",

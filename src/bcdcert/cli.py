@@ -231,8 +231,8 @@ def _num(v):
 
 def _e_growth_flag(history) -> bool:
     """True when e_t grew strictly monotonically over a run of 10+ steps."""
-    es = [rec.e_t for rec in history]
-    return len(es) >= 10 and all(b > a for a, b in zip(es, es[1:]))
+    es = history.e_t
+    return len(es) >= 10 and bool(np.all(es[1:] > es[:-1]))
 
 
 def _error_payload(err: BcdcertError | None):
@@ -368,13 +368,13 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
             return p.x if block == "y" else p.y
 
         minimize = obj.exact_min_y if block == "y" else obj.exact_min_x
-        if minimize(fixed(probe_points[0])) is None:
-            checks.append({"name": f"exact_min_{block}", "status": "skipped (no oracle)"})
-            continue
         worst_res = 0.0
         ok = True
-        for p in probe_points:
+        for i, p in enumerate(probe_points):
             star = minimize(fixed(p))
+            if star is None and i == 0:
+                checks.append({"name": f"exact_min_{block}", "status": "skipped (no oracle)"})
+                break
             q = p.with_y(star) if block == "y" else p.with_x(star)
             obj.check_point(q)
             res = float(np.linalg.norm(checked_grad(obj, q, block)))
@@ -383,29 +383,31 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
             f_p = checked_value(obj, p)
             if res > 1e-10 * base or checked_value(obj, q) > f_p + check_tol_for(f_p):
                 ok = False
-        checks.append(
-            {
-                "name": f"exact_min_{block}",
-                "status": "ok" if ok else "fail",
-                "max_rel_residual": worst_res,
-            }
-        )
+        else:
+            checks.append(
+                {
+                    "name": f"exact_min_{block}",
+                    "status": "ok" if ok else "fail",
+                    "max_rel_residual": worst_res,
+                }
+            )
 
     if obj.n_x == 0:
         checks.append({"name": "lipschitz_probe", "status": "skipped (empty block)"})
     else:
-        declared = obj.lipschitz_x(starts[0].y) if starts else None
-        if declared is None:
-            checks.append({"name": "lipschitz_probe", "status": "skipped (no oracle)"})
+        ok = True
+        worst_ratio = 0.0
+        for i, p in enumerate(starts[:3]):
+            declared = obj.lipschitz_x(p.y)
+            if declared is None and i == 0:
+                checks.append({"name": "lipschitz_probe", "status": "skipped (no oracle)"})
+                break
+            declared = positive_lipschitz(declared)
+            probe = probe_lipschitz_x(obj, p.y, (-2.0, 2.0), samples=100, seed=seed)
+            worst_ratio = max(worst_ratio, probe / declared)
+            if probe > declared * (1.0 + 1e-6):
+                ok = False
         else:
-            ok = True
-            worst_ratio = 0.0
-            for p in starts[: min(3, len(starts))]:
-                declared = positive_lipschitz(obj.lipschitz_x(p.y))
-                probe = probe_lipschitz_x(obj, p.y, (-2.0, 2.0), samples=100, seed=seed)
-                worst_ratio = max(worst_ratio, probe / declared)
-                if probe > declared * (1.0 + 1e-6):
-                    ok = False
             checks.append(
                 {
                     "name": "lipschitz_probe",
@@ -461,6 +463,12 @@ def cmd_report(trace_path: str, quiet: bool = False) -> int:
     return 0 if verdict.passed() else 2
 
 
+# Overflow or NaN inside an oracle's numpy arithmetic is caught where the
+# number enters the solver (a non-finite answer raises), so numpy's
+# RuntimeWarning would only be noise ahead of the clean "error:" line. One
+# guard around the whole command: entering np.errstate costs microseconds,
+# too much to pay on every oracle call.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bcdcert",

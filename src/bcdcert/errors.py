@@ -60,10 +60,6 @@ class InnerSolveFailed(BcdcertError):
 
 # -- certificate errors ------------------------------------------------------
 
-class OutOfOrderRecord(BcdcertError):
-    """Record index does not match the accumulated history length."""
-
-
 class EmptyHistory(BcdcertError):
     """Operation needs at least one recorded iteration."""
 

@@ -3,7 +3,8 @@
 One initial ``stationary_y`` call makes the certificate's standing hypothesis
 (grad_y = 0 at every measured iterate) true by construction; after that each
 iteration measures grad_x at (x_t, y_t), applies the configured x-strategy,
-re-solves the y block, records the step, and folds it into the certificate.
+re-solves the y block and records the step. The recorded columns are folded
+into the certificate once, when the loop ends (``certificate.fold``).
 
 Each iterate is evaluated once: the x-strategy hands back the value of the
 point it moved to, and ``stationary_y`` the value and grad_y of the next
@@ -24,13 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import (
-    Certificate,
-    IterationRecord,
-    accumulate,
-    check_step,
-    check_tol_for,
-)
+from .certificate import Certificate, History, check_record, check_tol_for, fold
 from .errors import BcdcertError
 from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
 from .strategies import (
@@ -87,7 +82,7 @@ class RunResult:
 
     final: BlockPoint
     certificate: Certificate
-    history: list[IterationRecord]
+    history: History
     stop_reason: StopReason
     wall_time: float
     y_tol: float
@@ -109,6 +104,24 @@ def _resolve_y_tol(obj, start, cfg):
     return 1e-10 * max(1.0, gy0)
 
 
+def _result(rows, f0, point, stop, error, t_start, y_tol, init_residual=0.0) -> RunResult:
+    """Fold the recorded rows once and package the run; an error invalidates the certificate."""
+    history = History.from_rows(rows)
+    history.suff_ok, _, _, cert = fold(history, f0)
+    cert.invalidated = error is not None
+    return RunResult(
+        final=point,
+        certificate=cert,
+        history=history,
+        stop_reason=stop,
+        wall_time=time.perf_counter() - t_start,
+        y_tol=y_tol,
+        check_tol=check_tol_for(cert.f0),
+        init_y_residual=init_residual,
+        error=error,
+    )
+
+
 def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     """Run certified BCD from ``start`` until grad_tol, max_iters, or error."""
     t_start = time.perf_counter()
@@ -117,20 +130,18 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     y_tol = math.nan
     init_residual = 0.0
     point = start
-    cert = Certificate.fresh(math.nan)
-    history: list[IterationRecord] = []
+    f0 = math.nan
+    rows: list[tuple] = []
     stop = StopReason.MAX_ITERS
     error: BcdcertError | None = None
     try:
         y_tol = _resolve_y_tol(obj, start, cfg)
         # Until the y block is solved, f at the start stands in for f0: it
         # is what an error result reports, and this one solve's tolerance.
-        cert = Certificate.fresh(checked_value(obj, start))
-        point, init_residual, f_cur, gy = stationary_y(
-            obj, start, cert.f0, y_tol, check_tol_for(cert.f0)
-        )
-        check_tol = check_tol_for(f_cur)
-        cert = Certificate.fresh(f_cur)
+        f0 = checked_value(obj, start)
+        point, init_residual, f_cur, gy = stationary_y(obj, start, f0, y_tol, check_tol_for(f0))
+        f0 = f_cur
+        check_tol = check_tol_for(f0)
         params = cfg.backtrack
         for t in range(cfg.max_iters):
             gx = checked_grad(obj, point, "x")
@@ -151,35 +162,14 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             point, residual, f_after_y, gy = stationary_y(
                 obj, upd.point, upd.f_next, y_tol, check_tol
             )
-            rec = IterationRecord(
-                t=t,
-                f_before=f_cur,
-                f_after_x=upd.f_next,
-                f_after_y=f_after_y,
-                gx_norm_sq=gx_norm_sq,
-                gy_residual=residual,
-                e_t=upd.e_t,
-            )
-            check_step(rec, check_tol)
-            cert = accumulate(cert, rec)
-            history.append(rec)
+            row = (f_cur, upd.f_next, f_after_y, gx_norm_sq, residual, upd.e_t)
+            check_record(t, *row)
+            rows.append(row)
             f_cur = f_after_y
     except BcdcertError as err:
         error = err
         stop = StopReason.ERROR
-
-    cert.invalidated = error is not None
-    return RunResult(
-        final=point,
-        certificate=cert,
-        history=history,
-        stop_reason=stop,
-        wall_time=time.perf_counter() - t_start,
-        y_tol=y_tol,
-        check_tol=check_tol_for(cert.f0),
-        init_y_residual=init_residual,
-        error=error,
-    )
+    return _result(rows, f0, point, stop, error, t_start, y_tol, init_residual)
 
 
 def solve_gd_baseline(
@@ -201,42 +191,22 @@ def solve_gd_baseline(
     e_t = 1.0 / step if step > 0 else 1.0
 
     point = start
-    cert = Certificate.fresh(math.nan)
-    history: list[IterationRecord] = []
+    f0 = math.nan
+    rows: list[tuple] = []
     stop = StopReason.MAX_ITERS
     error: BcdcertError | None = None
     try:
         f_cur, gx, gy = evaluate(obj, point)
-        check_tol = check_tol_for(f_cur)
-        cert = Certificate.fresh(f_cur)
+        f0 = f_cur
         for t in range(max_iters):
             nxt = full_gradient_step(point, gx, gy, step)
             f_next, gx_next, gy_next = evaluate(obj, nxt)
-            rec = IterationRecord(
-                t=t,
-                f_before=f_cur,
-                f_after_x=f_next,
-                f_after_y=f_next,
-                gx_norm_sq=float(gx @ gx) + float(gy @ gy),
-                gy_residual=float(np.linalg.norm(gy)),
-                e_t=e_t,
-            )
-            check_step(rec, check_tol)
-            cert = accumulate(cert, rec)
-            history.append(rec)
+            row = (f_cur, f_next, f_next, float(gx @ gx) + float(gy @ gy),
+                   float(np.linalg.norm(gy)), e_t)
+            check_record(t, *row)
+            rows.append(row)
             point, f_cur, gx, gy = nxt, f_next, gx_next, gy_next
     except BcdcertError as err:
         error = err
         stop = StopReason.ERROR
-
-    cert.invalidated = error is not None
-    return RunResult(
-        final=point,
-        certificate=cert,
-        history=history,
-        stop_reason=stop,
-        wall_time=time.perf_counter() - t_start,
-        y_tol=math.nan,
-        check_tol=check_tol_for(cert.f0),
-        error=error,
-    )
+    return _result(rows, f0, point, stop, error, t_start, math.nan)

@@ -1,11 +1,13 @@
 """Trace files: CSV rows per iteration, refoldable for audit.
 
 The derived columns (suff_ok, cum_sum, rate_bound_prefix) are produced by
-``fold_records``, and ``verify_trace`` recomputes them with the same helper,
-so a clean round trip matches bitwise: floats are serialized with repr(),
-which parses back to the identical double, and the fold performs the same
-arithmetic on the same values. Any single edited cell therefore shows up as
-an exact mismatch (or as a broken f-chain between consecutive rows).
+``certificate.fold``, and ``verify_trace`` recomputes them with the same
+fold, so a clean round trip matches bitwise: floats are serialized with
+repr(), which parses back to the identical double, and the fold performs
+the same arithmetic on the same values. Any single edited cell therefore
+shows up as an exact mismatch (or as a broken f-chain between consecutive
+rows). A parsed trace is columnar (``Trace``) and is audited a whole column
+at a time.
 
 The check tolerance is not stored: it is ``check_tol_for(f0)``, with f0 the
 first row's ``f_before``, the same number the run used, so the file alone
@@ -15,35 +17,61 @@ determines every derived column.
 from __future__ import annotations
 
 import csv
-import dataclasses
+import itertools
 import json
 import math
 import os
 import tempfile
+from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from .certificate import (
+    RAW_FIELDS,
     Certificate,
+    History,
     IterationRecord,
-    accumulate,
-    check_step,
     check_tol_for,
+    check_record,
     fit_rate,
+    fold,
 )
 from .errors import DegenerateFit, InsufficientHistory, SchemaMismatch, TamperDetected
 
 TRACE_HEADER = "t,f_before,f_after_x,f_after_y,gx_norm_sq,gy_residual,e_t,suff_ok,cum_sum,rate_bound_prefix"
 
 _COLUMNS = TRACE_HEADER.split(",")
+_SUFF_OK = _COLUMNS.index("suff_ok")
+# The float cells of a line, in column order: every column but t and suff_ok.
+_FLOAT_COLUMNS = [i for i in range(1, len(_COLUMNS)) if i != _SUFF_OK]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceRow:
     """One parsed trace line: the raw record plus its recorded derived columns."""
 
     record: IterationRecord
     cum_sum: float
     rate_bound_prefix: float
+
+
+class Trace(History):
+    """A parsed trace: a History of its raw and suff_ok columns, plus cum_sum and rate_bound_prefix.
+
+    Reads like a list of ``TraceRow``.
+    """
+
+    __slots__ = ("cum_sum", "rate_bound_prefix")
+    _fields = History._fields + __slots__
+
+    def __init__(self, *columns, cum_sum, rate_bound_prefix):
+        super().__init__(*columns)
+        self.cum_sum = np.asarray(cum_sum, dtype=np.float64)
+        self.rate_bound_prefix = np.asarray(rate_bound_prefix, dtype=np.float64)
+
+    def _row(self, t, *values):
+        return TraceRow(IterationRecord(t, *values[:7]), *values[7:])
 
 
 @dataclass
@@ -63,33 +91,13 @@ class TraceVerdict:
         return self.all_steps_ok and self.telescope_ok and self.rate_bound_ok
 
 
-def fold_records(records):
-    """Fold records into per-row derived columns and the final certificate.
-
-    Returns (derived, certificate) where derived[t] is the tuple
-    (suff_ok, cum_sum, rate_bound_prefix) after folding record t, each step
-    checked with ``check_tol_for`` of the first record's f_before. The fold
-    sets suff_ok on the records it is given; pass copies to keep an existing
-    history untouched. certificate is None for an empty sequence.
-    """
-    derived = []
-    cert = None
-    for rec in records:
-        if cert is None:
-            cert = Certificate.fresh(rec.f_before)
-            check_tol = check_tol_for(rec.f_before)
-        ok = check_step(rec, check_tol)
-        cert = accumulate(cert, rec)
-        derived.append((ok, cert.running_sum, cert.rate_bound))
-    return derived, cert
-
-
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` through a temporary file and a rename."""
     dirname = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-trace-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -97,69 +105,75 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _row_cells(rec: IterationRecord, ok: bool, cum: float, rb: float) -> list[str]:
-    return [
-        str(rec.t),
-        repr(rec.f_before),
-        repr(rec.f_after_x),
-        repr(rec.f_after_y),
-        repr(rec.gx_norm_sq),
-        repr(rec.gy_residual),
-        repr(rec.e_t),
-        "1" if ok else "0",
-        repr(cum),
-        repr(rb),
-    ]
-
-
 def write_trace(path: str, history) -> None:
-    """Write the iteration history as a trace CSV (whole-file atomic)."""
-    records = [dataclasses.replace(rec) for rec in history]
-    derived, _ = fold_records(records)
-    lines = [TRACE_HEADER]
-    for rec, (ok, cum, rb) in zip(records, derived):
-        lines.append(",".join(_row_cells(rec, ok, cum, rb)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write a History, or records in order, as a trace CSV (whole-file atomic).
+
+    Lines are rendered from the columns with repr(), one at a time.
+    """
+    if not isinstance(history, History):
+        history = History.from_records(history)
+    suff_ok, cum_sum, rate_bound, _ = fold(history)
+    columns = [map(str, range(len(history)))]
+    columns += [map(repr, getattr(history, name).tolist()) for name in RAW_FIELDS]
+    columns.append(("1" if ok else "0" for ok in suff_ok.tolist()))
+    columns += [map(repr, cum_sum.tolist()), map(repr, rate_bound.tolist())]
+    lines = (",".join(cells) + "\n" for cells in zip(*columns))
+    _atomic_write(path, itertools.chain([TRACE_HEADER + "\n"], lines))
 
 
 def write_json(path: str, payload: dict) -> None:
     """Atomic JSON dump used for summaries; NaN/inf raise instead of writing invalid JSON."""
-    _atomic_write(path, json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=1, sort_keys=True, allow_nan=False) + "\n"])
 
 
-def _parse_row(cells: list[str], index: int) -> TraceRow:
-    where = f"row {index}"
+def _parse_row(cells: list[str], index: int, flags: list, values: array) -> str | None:
+    """Append one line's suff_ok flag and 8 floats, checking field count, suff_ok token, number syntax and t.
+
+    On a fault it appends nothing and returns the message.
+    """
     if len(cells) != len(_COLUMNS):
-        raise SchemaMismatch(f"{where}: expected {len(_COLUMNS)} fields, got {len(cells)}")
-    if cells[7] not in ("0", "1"):
-        raise SchemaMismatch(f"{where}: suff_ok must be 0 or 1, got {cells[7]!r}")
+        return f"row {index}: expected {len(_COLUMNS)} fields, got {len(cells)}"
+    flag = cells[_SUFF_OK]
+    if flag != "0" and flag != "1":
+        return f"row {index}: suff_ok must be 0 or 1, got {flag!r}"
     try:
         t = int(cells[0])
-        floats = [float(c) for c in cells[1:7] + cells[8:]]
+        row = [float(cells[i]) for i in _FLOAT_COLUMNS]
     except ValueError as exc:
-        raise SchemaMismatch(f"{where}: {exc}") from None
+        return f"row {index}: {exc}"
     if t != index:
-        raise SchemaMismatch(f"{where}: t={t} out of sequence")
-    if not all(math.isfinite(v) for v in floats):
-        raise SchemaMismatch(f"{where}: non-finite field")
-    try:
-        rec = IterationRecord(
-            t=t,
-            f_before=floats[0],
-            f_after_x=floats[1],
-            f_after_y=floats[2],
-            gx_norm_sq=floats[3],
-            gy_residual=floats[4],
-            e_t=floats[5],
-            suff_ok=cells[7] == "1",
-        )
-    except ValueError as exc:
-        raise SchemaMismatch(f"{where}: {exc}") from None
-    return TraceRow(record=rec, cum_sum=floats[6], rate_bound_prefix=floats[7])
+        return f"row {index}: t={t} out of sequence"
+    flags.append(flag == "1")
+    values.extend(row)
+    return None
 
 
-def read_trace(path: str) -> list[TraceRow]:
-    """Parse and validate a trace CSV; schema violations raise SchemaMismatch."""
+def _first_bad_value(table: np.ndarray) -> str | None:
+    """The message for the first row (a column of ``table``) with a non-finite cell or invalid raw fields."""
+    finite = np.isfinite(table).all(axis=0)
+    raw = table[: len(RAW_FIELDS)]
+    # check_record's conditions, a column at a time; it words the first failure
+    bad = ~finite | (raw[3] < 0) | (raw[4] < 0) | ~(raw[5] > 0)
+    for t in np.flatnonzero(bad).tolist():
+        if not finite[t]:
+            return f"row {t}: non-finite field"
+        try:
+            check_record(t, *raw[:, t].tolist())
+        except ValueError as exc:
+            return f"row {t}: {exc}"
+    return None
+
+
+def read_trace(path: str) -> Trace:
+    """Parse and validate a trace CSV; schema violations raise SchemaMismatch.
+
+    The first faulty line is named, as a line-by-line parse meets it: the
+    numbers of the lines before a line that does not parse are checked
+    before that line's fault is reported.
+    """
+    flags: list[bool] = []
+    values = array("d")
+    fault = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -168,23 +182,32 @@ def read_trace(path: str) -> list[TraceRow]:
             raise SchemaMismatch("empty file, header row missing") from None
         if header != _COLUMNS:
             raise SchemaMismatch(f"bad header: {','.join(header)!r}")
-        return [_parse_row(cells, i) for i, cells in enumerate(reader)]
+        for index, cells in enumerate(reader):
+            fault = _parse_row(cells, index, flags, values)
+            if fault is not None:
+                break
+    table = np.array(values, dtype=np.float64).reshape(len(flags), len(_FLOAT_COLUMNS)).T
+    fault = _first_bad_value(table) or fault
+    if fault is not None:
+        raise SchemaMismatch(fault)
+    return Trace(*table[: len(RAW_FIELDS)], flags, cum_sum=table[-2], rate_bound_prefix=table[-1])
 
 
-def verify_trace(rows: list[TraceRow]) -> TraceVerdict:
+def verify_trace(rows: Trace) -> TraceVerdict:
     """Refold a parsed trace and check it end to end.
 
     Raises TamperDetected (naming the first offending row) if the f-chain
-    between consecutive rows is broken or any recorded derived column
-    disagrees with recomputation. Otherwise returns a TraceVerdict carrying
-    the refolded certificate's verdicts (the step checks and the telescoped
-    and rate bounds at every prefix, all decided by ``accumulate``) and the
-    fitted log-log slope of the min-so-far gradient norm.
+    between consecutive rows is broken, which is checked first, or any
+    recorded derived column disagrees with recomputation (suff_ok, then
+    cum_sum, then rate_bound_prefix within a row). Otherwise returns a
+    TraceVerdict carrying the refolded certificate's verdicts (the step
+    checks and the telescoped and rate bounds at every prefix, all decided
+    by ``fold``) and the fitted log-log slope of the min-so-far gradient norm.
 
     Every check uses ``check_tol_for(f0)`` with f0 taken from the first row,
     the tolerance the run that wrote the trace used.
     """
-    if not rows:
+    if len(rows) == 0:
         return TraceVerdict(
             num_rows=0,
             check_tol=math.nan,
@@ -195,25 +218,26 @@ def verify_trace(rows: list[TraceRow]) -> TraceVerdict:
             slope=None,
             slope_note="insufficient history",
         )
-    for t in range(1, len(rows)):
-        if rows[t].record.f_before != rows[t - 1].record.f_after_y:
-            raise TamperDetected(
-                f"row {t}: f_before does not chain from the previous row"
-            )
+    broken = rows.f_before[1:] != rows.f_after_y[:-1]
+    if broken.any():
+        t = int(np.argmax(broken)) + 1
+        raise TamperDetected(f"row {t}: f_before does not chain from the previous row")
 
-    records = [dataclasses.replace(row.record) for row in rows]
-    derived, cert = fold_records(records)
-    for row, rec, (ok, cum, rb) in zip(rows, records, derived):
-        if row.record.suff_ok != ok:
-            raise TamperDetected(f"row {rec.t}: suff_ok flag does not refold")
-        if row.cum_sum != cum:
-            raise TamperDetected(f"row {rec.t}: cum_sum does not refold")
-        if row.rate_bound_prefix != rb:
-            raise TamperDetected(f"row {rec.t}: rate_bound_prefix does not refold")
+    suff_ok, cum_sum, rate_bound, cert = fold(rows)
+    mismatches = (
+        ("suff_ok flag", suff_ok != rows.suff_ok),
+        ("cum_sum", rows.cum_sum != cum_sum),
+        ("rate_bound_prefix", rows.rate_bound_prefix != rate_bound),
+    )
+    bad = mismatches[0][1] | mismatches[1][1] | mismatches[2][1]
+    if bad.any():
+        t = int(np.argmax(bad))
+        column = next(name for name, differs in mismatches if differs[t])
+        raise TamperDetected(f"row {t}: {column} does not refold")
 
     slope = None
     try:
-        slope = fit_rate(records)
+        slope = fit_rate(rows)
         note = "ok"
     except InsufficientHistory:
         note = "insufficient history"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,19 +6,15 @@ import pytest
 
 from bcdcert.certificate import (
     Certificate,
+    History,
     IterationRecord,
-    accumulate,
-    check_step,
     check_tol_for,
     fit_rate,
+    fold,
     min_grad_bound,
+    sufficient_decrease,
 )
-from bcdcert.errors import (
-    DegenerateFit,
-    EmptyHistory,
-    InsufficientHistory,
-    OutOfOrderRecord,
-)
+from bcdcert.errors import DegenerateFit, EmptyHistory, InsufficientHistory
 from bcdcert.traceio import read_trace, verify_trace, write_trace
 
 
@@ -31,6 +28,16 @@ def rec(t, f_before, f_after_x, f_after_y, gx_sq, e_t, gy_res=0.0):
         gy_residual=gy_res,
         e_t=e_t,
     )
+
+
+def folded(records):
+    """fold of the records in order: (suff_ok, cum_sum, rate_bound_prefix, certificate)."""
+    return fold(History.from_records(records))
+
+
+def step_ok(r):
+    """The fold's step check on one record, at the tolerance of its own f_before."""
+    return bool(folded([dataclasses.replace(r, t=0)])[0][0])
 
 
 # The worked two-step chain: f 0.25 -> 0.0625 -> 0.015625 with e_t = 1.
@@ -51,33 +58,36 @@ def test_record_validation():
         rec(0, 1.0, 0.0, 0.0, 1.0, 1.0, gy_res=-0.5)
 
 
-def test_check_step_equality_is_a_pass():
+def test_step_check_equality_is_a_pass():
     # decrease exactly ||g||^2/(2e): the tightness case must not be rejected
     r = rec(0, 2.0, 0.0, 0.0, 8.0, 2.0)  # need = 8/(2*2) = 2 = decrease
-    assert check_step(r, tol=0.0) is True
-    assert r.suff_ok
+    assert sufficient_decrease(r.f_before, r.f_after_x, r.gx_norm_sq, r.e_t, 0.0) is True
+    assert step_ok(r)
 
 
-def test_check_step_fails_just_below_equality():
+def test_step_check_fails_just_below_equality():
+    # short by 1e-9, more than the tolerance 2e-10 of f0 = 2
     r = rec(0, 2.0, 1e-9, 0.0, 8.0, 2.0)
-    assert check_step(r, tol=1e-12) is False
+    assert sufficient_decrease(r.f_before, r.f_after_x, r.gx_norm_sq, r.e_t, 1e-12) is False
+    assert step_ok(r) is False
 
 
-def test_check_step_tolerance_absorbs_roundoff():
+def test_step_check_tolerance_absorbs_roundoff():
     r = rec(0, 2.0, 1e-13, 0.0, 8.0, 2.0)
-    assert check_step(r, tol=1e-10) is True
+    assert sufficient_decrease(r.f_before, r.f_after_x, r.gx_norm_sq, r.e_t, 1e-10) is True
+    assert step_ok(r) is True
 
 
-def test_check_step_rejects_y_increase():
+def test_step_check_rejects_y_increase():
     r = rec(0, 2.0, 0.0, 1.0, 1.0, 2.0)  # y step went up by 1
-    assert check_step(r, tol=1e-10) is False
+    assert step_ok(r) is False
 
 
-def test_accumulate_folds_the_worked_chain():
-    cert = Certificate.fresh(0.25)
-    for r in CHAIN:
-        check_step(r, tol=1e-10)
-        cert = accumulate(cert, r)
+def test_fold_folds_the_worked_chain():
+    suff_ok, cum_sum, rate_bound, cert = folded(CHAIN)
+    assert suff_ok.tolist() == [True, True]
+    assert cum_sum.tolist() == [0.125, 0.15625]
+    assert rate_bound.tolist() == [0.375, 0.234375]
     assert cert.num_steps == 2
     assert cert.running_sum == 0.15625
     assert cert.f_final == 0.015625
@@ -89,35 +99,33 @@ def test_accumulate_folds_the_worked_chain():
     assert cert.passed()
 
 
-def test_accumulate_is_pure():
-    cert = Certificate.fresh(0.25)
-    r = CHAIN[0]
-    check_step(r, tol=1e-10)
-    cert2 = accumulate(cert, r)
-    assert cert.num_steps == 0 and cert2.num_steps == 1
+def test_fold_is_pure():
+    history = History.from_records(CHAIN)
+    columns = [getattr(history, name).copy() for name in History.__slots__]
+    first = fold(history)
+    assert all(np.array_equal(getattr(history, name), col)
+               for name, col in zip(History.__slots__, columns))
+    assert history.suff_ok.tolist() == [False, False]  # the records' own flags, untouched
+    assert fold(history)[3] == first[3]
+    assert folded(CHAIN[:1])[3].num_steps == 1
 
 
-def test_accumulate_rejects_out_of_order_records():
-    cert = Certificate.fresh(0.25)
-    with pytest.raises(OutOfOrderRecord):
-        accumulate(cert, CHAIN[1])
+def test_history_rejects_out_of_order_records():
+    with pytest.raises(ValueError, match="record t=1 at index 0"):
+        History.from_records([CHAIN[1]])
 
 
 def test_failed_step_poisons_all_steps_ok():
-    cert = Certificate.fresh(2.0)
     r = rec(0, 2.0, 1.9, 1.9, 8.0, 2.0)  # decrease 0.1 < need 2
-    check_step(r, tol=1e-10)
-    cert = accumulate(cert, r)
+    cert = folded([r])[3]
     assert not cert.all_steps_ok
     assert not cert.passed()
 
 
 def test_fold_detects_an_inflated_sum():
-    cert = Certificate.fresh(1.0)
     # claims a decrease of 10 against an actual f drop of 0.5
     r = rec(0, 1.0, 0.5, 0.5, 20.0, 1.0)
-    check_step(r, tol=1e-10)
-    cert = accumulate(cert, r)
+    cert = folded([r])[3]
     assert cert.telescope_ok is False
     assert not cert.passed()
 
@@ -139,11 +147,10 @@ def telescope_fails_only_at_prefix_0():
 def test_telescope_is_checked_at_every_prefix():
     tol = check_tol_for(1.0)
     records = telescope_fails_only_at_prefix_0()
-    assert all(check_step(r, tol) for r in records)
-    cert = Certificate.fresh(1.0)
-    cert = accumulate(cert, records[0])
-    assert not cert.telescope_ok and cert.rate_bound_ok
-    cert = accumulate(cert, records[1])
+    suff_ok, _, _, cert = folded(records)
+    assert suff_ok.all()
+    prefix = folded(records[:1])[3]
+    assert not prefix.telescope_ok and prefix.rate_bound_ok
     # the final prefix alone would pass
     assert cert.running_sum <= (cert.f0 - cert.f_final) + tol
     assert cert.all_steps_ok and cert.rate_bound_ok
@@ -164,8 +171,8 @@ def test_fold_checks_the_rate_bound():
     # exceeds 2 e_max (f0 - f_1) / 1 + tol = 4 + tol
     tol = check_tol_for(1.0)
     r = rec(0, 1.0, 0.5, 0.5, 8.0 * (0.5 + tol), 4.0)
-    assert check_step(r, tol)
-    cert = accumulate(Certificate.fresh(1.0), r)
+    suff_ok, _, _, cert = folded([r])
+    assert suff_ok[0]
     assert cert.all_steps_ok and cert.telescope_ok
     assert cert.rate_bound_ok is False
     assert not cert.passed()
@@ -181,20 +188,14 @@ def test_rate_bound_is_nan_before_any_step():
 
 
 def test_min_grad_bound_on_the_chain():
-    cert = Certificate.fresh(0.25)
-    for r in CHAIN:
-        check_step(r, tol=1e-10)
-        cert = accumulate(cert, r)
+    cert = folded(CHAIN)[3]
     mg, bound = min_grad_bound(cert)
     assert (mg, bound) == (0.0625, 0.234375)
     assert mg <= bound
 
 
 def test_invalidated_certificate_never_passes():
-    cert = Certificate.fresh(0.25)
-    r = CHAIN[0]
-    check_step(r, tol=1e-10)
-    cert = accumulate(cert, r)
+    cert = folded(CHAIN[:1])[3]
     assert cert.passed()
     cert.invalidated = True
     assert not cert.passed()
@@ -227,7 +228,7 @@ def test_fit_rate_recovers_other_exponents():
 def test_fit_rate_uses_the_running_minimum():
     # an up-spike in the gradient must not affect the fitted envelope
     records = power_law_history(50)
-    records[30].gx_norm_sq = 100.0
+    records[30] = dataclasses.replace(records[30], gx_norm_sq=100.0)
     slope = fit_rate(records)
     assert slope == pytest.approx(-0.5, abs=0.02)
 
@@ -239,6 +240,16 @@ def test_fit_rate_needs_ten_records():
 
 def test_fit_rate_rejects_exact_zero_norms():
     records = power_law_history(12)
-    records[5].gx_norm_sq = 0.0
+    records[5] = dataclasses.replace(records[5], gx_norm_sq=0.0)
     with pytest.raises(DegenerateFit):
         fit_rate(records)
+
+
+def test_fit_rate_reads_a_history_like_its_records():
+    records = power_law_history(50)
+    assert fit_rate(History.from_records(records)) == fit_rate(records)
+
+
+def test_records_are_immutable():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        CHAIN[0].suff_ok = True

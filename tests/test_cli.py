@@ -16,6 +16,7 @@ from bcdcert.cli import (
     parse_config,
     run_oracle_checks,
 )
+from bcdcert.certificate import IterationRecord
 from bcdcert.errors import ConfigError, DimensionMismatch, NonFiniteValue
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import CoupledQuadratic, make_problem
@@ -366,6 +367,50 @@ def test_run_baseline_whose_start_value_is_not_finite_writes_a_summary(tmp_path)
     assert read_trace(out + ".baseline.trace.csv") == []
 
 
+def test_run_and_report_build_no_records(tmp_path, monkeypatch):
+    # run and report work on columns; records are built only for a caller
+    # that reads rows
+    built = []
+
+    class Counted(IterationRecord):
+        def __post_init__(self):
+            built.append(self.t)
+            super().__post_init__()
+
+    monkeypatch.setattr("bcdcert.certificate.IterationRecord", Counted)
+    monkeypatch.setattr("bcdcert.traceio.IterationRecord", Counted)
+    cfg = write_cfg(tmp_path, COUPLED)
+    out = str(tmp_path / "cols")
+    assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert run_cli(["report", out + ".trace.csv", "--quiet"]) == 0
+    assert built == []
+    rows = read_trace(out + ".trace.csv")
+    assert len(rows) > 0 and built == []
+    assert [row.record.t for row in rows] == built == list(range(len(rows)))
+
+
+def test_run_prints_no_numpy_warning_ahead_of_the_error_line(tmp_path):
+    # f overflows at the start; the run fails cleanly with NonFiniteValue
+    cfg = write_cfg(
+        tmp_path,
+        """
+        [problem]
+        family = two_block_rosenbrock
+
+        [solver]
+        x_strategy = backtracking
+        start_x = 1e200
+        start_y = 0.0
+        """,
+    )
+    out = str(tmp_path / "huge")
+    proc = cli_process("-m", "bcdcert.cli", "run", "--config", cfg, "--out", out, "--quiet")
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert json.load(open(out + ".summary.json"))["error"]["type"] == "NonFiniteValue"
+
+
 def test_run_survives_an_oracle_that_breaks_mid_run(tmp_path):
     # a real `bcdcert run` process whose objective's third grad_x is NaN:
     # operational exit code, summary and partial trace written, no traceback
@@ -522,6 +567,27 @@ def test_check_quiet_still_prints_json(tmp_path, capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_check_asks_each_oracle_only_for_answers_it_uses(tmp_path, capsys, monkeypatch):
+    # 8 points: 5 minimizer probes per block and 3 Lipschitz probes; the
+    # first answer of each oracle also tells whether it exists
+    calls = dict.fromkeys(("exact_min_y", "exact_min_x", "lipschitz_x"), 0)
+
+    def counting(spec):
+        obj = make_problem(spec)
+        for kind in calls:
+            def counted(arg, kind=kind, oracle=getattr(obj, kind)):
+                calls[kind] += 1
+                return oracle(arg)
+            setattr(obj, kind, counted)
+        return obj
+
+    monkeypatch.setattr("bcdcert.cli.make_problem", counting)
+    cfg = write_cfg(tmp_path, COUPLED)
+    assert run_cli(["check", "--config", cfg, "--points", "8", "--quiet"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert calls == {"exact_min_y": 5, "exact_min_x": 5, "lipschitz_x": 3}
+
+
 def test_check_rejects_zero_points(tmp_path, capsys):
     cfg = write_cfg(tmp_path, COUPLED)
     assert run_cli(["check", "--config", cfg, "--points", "0"]) == 1
@@ -535,7 +601,8 @@ def test_check_rejects_zero_points(tmp_path, capsys):
     [
         ("grad_x", 1, False, NonFiniteValue),
         ("grad_y", 1, True, DimensionMismatch),
-        ("lipschitz_x", 2, False, NonFiniteValue),  # call 1 only asks whether it exists
+        ("lipschitz_x", 1, False, NonFiniteValue),  # the answer that shows it exists is checked too
+        ("lipschitz_x", 2, False, NonFiniteValue),
     ],
 )
 def test_oracle_checks_refuse_a_broken_oracle(

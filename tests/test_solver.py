@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bcdcert.certificate import Certificate, accumulate
+from bcdcert.certificate import History, fold
 from bcdcert.errors import (
     DimensionMismatch,
     MissingLipschitzOracle,
@@ -112,10 +112,11 @@ def test_history_chain_is_exact():
 def test_refold_reproduces_the_certificate():
     obj = zoo_problem("coupled_quadratic", seed=6)
     res = solve(obj, zoo_start(obj, 6), SolverConfig(max_iters=25))
-    cert = Certificate.fresh(res.certificate.f0)
-    for r in res.history:
-        cert = accumulate(cert, r)
+    history = History.from_records(list(res.history))
+    suff_ok, _, _, cert = fold(history)
     assert cert == res.certificate
+    assert suff_ok.tolist() == res.history.suff_ok.tolist() == [r.suff_ok for r in res.history]
+    assert history == res.history
 
 
 def test_missing_oracle_surfaces_as_error_result():

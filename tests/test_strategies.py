@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bcdcert.certificate import IterationRecord, check_step, check_tol_for
+from bcdcert.certificate import History, check_tol_for, fold, sufficient_decrease
 from bcdcert.errors import (
     BacktrackExhausted,
     DimensionMismatch,
@@ -299,8 +299,8 @@ def test_backtrack_params_validation():
 # step from x = 3 fall short of its bound ||g||^2 / (2 L') by a known amount:
 # ||g||^2 (l - L') / (2 L'^2) for the 1/L' gradient step, and
 # ||g||^2 (l - L') / (2 l L') for the exact minimizer. Short by less than tol,
-# the strategy accepts the step and check_step certifies it; short by more,
-# both refuse it.
+# the strategy accepts the step and the certificate's step check certifies
+# it; short by more, both refuse it.
 
 
 def _declared_short_by(shortfall, exact):
@@ -311,16 +311,27 @@ def _declared_short_by(shortfall, exact):
     return 2.0 * g_sq * l / (g_sq + math.sqrt(g_sq * g_sq + 8.0 * shortfall * g_sq * l))
 
 
+def _step_check(f_before, f_after_x, f_after_y, g_sq, e_t, tol):
+    """The certificate's check of one recorded step at ``tol``.
+
+    At the run's own tolerance, check_tol_for(f_before), it is fold's
+    verdict on the one-row history; at another tol it is the same two tests.
+    """
+    ok = bool(sufficient_decrease(f_before, f_after_x, g_sq, e_t, tol) and f_after_y <= f_after_x + tol)
+    if tol == check_tol_for(f_before):
+        row = (f_before, f_after_x, f_after_y, g_sq, 0.0, e_t)
+        assert bool(fold(History.from_rows([row]))[0][0]) is ok
+    return ok
+
+
 def _certified(f, f_next, g_sq, e_t, tol):
-    rec = IterationRecord(t=0, f_before=f, f_after_x=f_next, f_after_y=f_next,
-                          gx_norm_sq=g_sq, gy_residual=0.0, e_t=e_t)
-    return check_step(rec, tol)
+    return _step_check(f, f_next, f_next, g_sq, e_t, tol)
 
 
 @pytest.mark.parametrize("tol", [check_tol_for(16.0), 1e-6], ids=["run-tol", "loose"])
 @pytest.mark.parametrize("short,accepted", [(0.5, True), (2.0, False)], ids=["within", "beyond"])
 @pytest.mark.parametrize("strategy", ["fixed_step", "exact_min", "backtracking"])
-def test_strategy_accepts_what_check_step_certifies(strategy, short, accepted, tol):
+def test_strategy_accepts_what_the_step_check_certifies(strategy, short, accepted, tol):
     p = BlockPoint([3.0])
     lip = _declared_short_by(short * tol, exact=strategy == "exact_min")
     obj = LipschitzOverride(tight(), lip)
@@ -405,7 +416,7 @@ def test_stationary_y_rejects_a_wrong_exact_minimizer():
 
 
 @pytest.mark.parametrize("short,accepted", [(0.5, True), (2.0, False)], ids=["within", "beyond"])
-def test_stationary_y_allows_the_rise_check_step_allows(short, accepted):
+def test_stationary_y_allows_the_rise_the_step_check_allows(short, accepted):
     # p already has y at its minimizer, so the y-solve lands on p again; a
     # stated f_before below f(p) makes that a rise of short * tol.
     obj = zoo_problem("coupled_quadratic", seed=10)
@@ -413,9 +424,7 @@ def test_stationary_y_allows_the_rise_check_step_allows(short, accepted):
     p = BlockPoint(x, obj.exact_min_y(x))
     tol = 1e-6
     f_before = obj.value(p) - short * tol
-    rec = IterationRecord(t=0, f_before=f_before, f_after_x=f_before, f_after_y=obj.value(p),
-                          gx_norm_sq=0.0, gy_residual=0.0, e_t=1.0)
-    assert check_step(rec, tol) is accepted
+    assert _step_check(f_before, f_before, obj.value(p), 0.0, 1.0, tol) is accepted
     if accepted:
         assert stationary_y(obj, p, f_before, 1e-8, tol)[2] == obj.value(p)
     else:

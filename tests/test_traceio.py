@@ -5,11 +5,11 @@ import os
 
 import pytest
 
+from bcdcert.certificate import History, fold
 from bcdcert.errors import SchemaMismatch, TamperDetected
 from bcdcert.solver import SolverConfig, solve
 from bcdcert.traceio import (
     TRACE_HEADER,
-    fold_records,
     read_trace,
     verify_trace,
     write_trace,
@@ -64,8 +64,9 @@ def test_fresh_trace_verifies(tmp_path):
 def test_derived_columns_match_a_refold(tmp_path):
     res, path = run_and_write(tmp_path)
     rows = read_trace(path)
-    records = [dataclasses.replace(r.record) for r in rows]
-    derived, cert = fold_records(records)
+    records = [dataclasses.replace(r.record, suff_ok=False) for r in rows]
+    suff_ok, cum_sum, rate_bound, cert = fold(History.from_records(records))
+    derived = zip(suff_ok.tolist(), cum_sum.tolist(), rate_bound.tolist())
     for row, (ok, cum, rb) in zip(rows, derived):
         assert row.record.suff_ok == ok
         assert row.cum_sum == cum
@@ -73,9 +74,32 @@ def test_derived_columns_match_a_refold(tmp_path):
     assert cert.f_final == res.certificate.f_final
 
 
-def test_fold_records_empty():
-    derived, cert = fold_records([])
-    assert derived == [] and cert is None
+def test_rows_read_like_a_list(tmp_path):
+    res, path = run_and_write(tmp_path)
+    rows = read_trace(path)
+    listed = list(rows)
+    assert rows == listed and rows[-1] == listed[-1] and rows[2:5] == listed[2:5]
+    assert [row.record for row in rows] == list(res.history)
+    for row in (rows[0], listed[-1]):
+        assert type(row.record.t) is int and type(row.record.suff_ok) is bool
+        assert type(row.cum_sum) is float and type(row.rate_bound_prefix) is float
+        assert all(type(getattr(row.record, name)) is float for name in COLS[1:7])
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+
+
+def test_writing_records_out_of_order_is_refused(tmp_path):
+    res, _ = run_and_write(tmp_path)
+    records = list(res.history)
+    with pytest.raises(ValueError, match="record t=1 at index 0"):
+        write_trace(str(tmp_path / "swapped.trace.csv"), [records[1], records[0]])
+
+
+def test_records_and_their_history_write_the_same_bytes(tmp_path):
+    res, path = run_and_write(tmp_path)
+    again = str(tmp_path / "records.trace.csv")
+    write_trace(again, list(res.history))
+    assert open(again, "rb").read() == open(path, "rb").read()
 
 
 def test_empty_trace_is_trivially_valid(tmp_path):
