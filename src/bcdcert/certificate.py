@@ -10,7 +10,11 @@ Turns the convergence analysis into machine checks along an actual run:
 
 A run's records are kept as columns (``History``), and ``fold`` decides all
 of the above in one pass of running sums, maxima and minima over them, for
-``solve()``, ``write_trace`` and the trace audit alike. The gradient norm
+``solve()``, ``write_trace`` and the trace audit alike: each gets the same
+``Certificate``, so the run and the audit share one verdict. Two functions
+hold the paper's inequalities, ``sufficient_decrease`` (per step) and
+``rate_bound`` (the min-gradient rate), and each serves both the scalar
+callers and ``fold``'s columns. The gradient norm
 recorded per step is the x-block one; it stands in for the full gradient
 because the y block is stationary (to within the recorded ``gy_residual``)
 at the measurement point.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, EmptyHistory, InsufficientHistory
+from .errors import DegenerateFit, InsufficientHistory
 
 # The raw fields of a record, in trace column order; everything else is derived.
 RAW_FIELDS = ("f_before", "f_after_x", "f_after_y", "gx_norm_sq", "gy_residual", "e_t")
@@ -154,10 +158,10 @@ class Certificate:
 
     @property
     def rate_bound(self) -> float:
-        """2 e_max (f0 - f_final) / T; NaN until a step has been recorded."""
+        """2 e_max (f0 - f_final) / T (see ``rate_bound``); NaN until a step has been recorded."""
         if self.num_steps == 0:
             return math.nan
-        return 2.0 * self.e_max * (self.f0 - self.f_final) / self.num_steps
+        return float(rate_bound(self.e_max, self.f0 - self.f_final, self.num_steps))
 
     def passed(self) -> bool:
         return (self.all_steps_ok and self.telescope_ok and self.rate_bound_ok
@@ -184,17 +188,29 @@ def sufficient_decrease(f, f_next, g_sq, e, tol):
     return f - f_next >= g_sq / (2.0 * e) - tol
 
 
+def rate_bound(e_max, drop, steps):
+    """2 e_max drop / steps: the min-gradient rate bound after ``steps`` steps.
+
+    The one rate-bound formula: ``Certificate.rate_bound`` applies it to
+    floats and ``fold`` to columns, elementwise. A zero drop gives a zero
+    bound (of the drop's sign) even when ``2 e_max`` overflows, where the
+    product alone would be inf * 0 = NaN; every other value is the plain
+    product. On arrays, call it under ``np.errstate`` as ``fold`` does.
+    """
+    return np.where(drop == 0.0, drop, 2.0 * e_max * drop / steps)
+
+
 def fold(history: History, f0: float = math.nan):
     """Check every step and every prefix of ``history`` in one pass.
 
     Returns (suff_ok, cum_sum, rate_bound_prefix, certificate): per row the
-    step check, the running sum of ||gx||^2 / (2 e_t) and 2 e_max (f0 - f_t)
-    / (t + 1); and the whole sequence's certificate, whose telescope_ok and
-    rate_bound_ok say both bounds held at every prefix, within
-    ``check_tol_for(f0)``. f0 is the first row's f_before (the argument only
-    names an empty history's start value). The sum adds in sequence from 0.0
-    and the rest is elementwise, so every value is bitwise the one a
-    record-by-record loop computes.
+    step check, the running sum of ||gx||^2 / (2 e_t) and the rate bound
+    2 e_max (f0 - f_t) / (t + 1); and the whole sequence's certificate,
+    whose telescope_ok and rate_bound_ok say both bounds held at every
+    prefix, within ``check_tol_for(f0)``. f0 is the first row's f_before
+    (the argument only names an empty history's start value). The sum adds
+    in sequence from 0.0 and the rest is elementwise, so every value is
+    bitwise the one a record-by-record loop computes.
     """
     n = len(history)
     if n == 0:
@@ -207,9 +223,9 @@ def fold(history: History, f0: float = math.nan):
         suff_ok = sufficient_decrease(f_before, f_after_x, g_sq, e, tol) & (f_after_y <= f_after_x + tol)
         cum_sum = np.add.accumulate(np.concatenate(([0.0], g_sq / (2.0 * e))))[1:]
         drop = f0 - f_after_y
-        rate_bound = 2.0 * np.maximum.accumulate(e) * drop / np.arange(1.0, n + 1.0)
+        bound = rate_bound(np.maximum.accumulate(e), drop, np.arange(1.0, n + 1.0))
         telescope_ok = bool(np.all(cum_sum <= drop + tol))
-        rate_bound_ok = bool(np.all(np.minimum.accumulate(g_sq) <= rate_bound + tol))
+        rate_bound_ok = bool(np.all(np.minimum.accumulate(g_sq) <= bound + tol))
     cert = Certificate(
         f0=f0,
         f_final=float(f_after_y[-1]),
@@ -224,32 +240,18 @@ def fold(history: History, f0: float = math.nan):
         rate_bound_ok=rate_bound_ok,
         all_steps_ok=bool(suff_ok.all()),
     )
-    return suff_ok, cum_sum, rate_bound, cert
+    return suff_ok, cum_sum, bound, cert
 
 
-def min_grad_bound(cert: Certificate):
-    """Return (min_t ||grad||^2, 2 e_max (f0 - f_final) / T).
-
-    With every step certified, the first is bounded by the second (up to the
-    check tolerance), which is the O(1/sqrt(T)) min-gradient rate.
-    """
-    if cert.num_steps == 0:
-        raise EmptyHistory("no iterations recorded")
-    return cert.min_grad_sq, cert.rate_bound
-
-
-def fit_rate(history) -> float:
+def fit_rate(history: History) -> float:
     """Least-squares slope of log(min-so-far gradient norm) vs log(t + 1).
 
-    ``history`` is a History or a sequence of records. A certified run's
-    bound curve has slope exactly -1/2; an actual trace may fall faster.
-    Needs at least 10 records, all with positive min-so-far norms (a norm
-    of exactly zero means convergence, not a power law).
+    A certified run's bound curve has slope exactly -1/2; an actual trace
+    may fall faster. Needs at least 10 records, all with positive
+    min-so-far norms (a norm of exactly zero means convergence, not a
+    power law).
     """
-    if isinstance(history, History):
-        g_sq = history.gx_norm_sq
-    else:
-        g_sq = np.array([r.gx_norm_sq for r in history], dtype=np.float64)
+    g_sq = history.gx_norm_sq
     if len(g_sq) < 10:
         raise InsufficientHistory(f"{len(g_sq)} records; need at least 10")
     norms = np.minimum.accumulate(np.sqrt(g_sq))

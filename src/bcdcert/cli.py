@@ -28,10 +28,12 @@ import sys
 
 import numpy as np
 
-from .certificate import check_tol_for, min_grad_bound
+from .certificate import check_tol_for, fit_rate
 from .errors import (
     BcdcertError,
     ConfigError,
+    DegenerateFit,
+    InsufficientHistory,
     SchemaMismatch,
     SufficientDecreaseViolated,
     TamperDetected,
@@ -443,7 +445,7 @@ def cmd_check(cfg: RunConfig, points: int, seed: int, quiet: bool = False) -> in
 def cmd_report(trace_path: str, quiet: bool = False) -> int:
     try:
         rows = read_trace(trace_path)
-        verdict = verify_trace(rows)
+        cert = verify_trace(rows)
     except (OSError, SchemaMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -451,16 +453,20 @@ def cmd_report(trace_path: str, quiet: bool = False) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not quiet:
-        slope = f"{verdict.slope:.4f}" if verdict.slope is not None else verdict.slope_note
-        print(f"rows: {verdict.num_rows}")
-        print(f"all steps certified: {verdict.all_steps_ok}")
-        print(f"telescope bound at every prefix: {verdict.telescope_ok}")
-        print(f"rate bound at every prefix: {verdict.rate_bound_ok}")
+        try:
+            slope = f"{fit_rate(rows):.4f}"
+        except InsufficientHistory:
+            slope = "insufficient history"
+        except DegenerateFit as exc:
+            slope = str(exc)
+        print(f"rows: {cert.num_steps}")
+        print(f"all steps certified: {cert.all_steps_ok}")
+        print(f"telescope bound at every prefix: {cert.telescope_ok}")
+        print(f"rate bound at every prefix: {cert.rate_bound_ok}")
         print(f"min-grad decay slope: {slope}")
-        if verdict.certificate is not None:
-            mg, rb = min_grad_bound(verdict.certificate)
-            print(f"min_grad_sq: {mg!r} <= rate_bound: {rb!r}")
-    return 0 if verdict.passed() else 2
+        if cert.num_steps:
+            print(f"min_grad_sq: {cert.min_grad_sq!r} <= rate_bound: {cert.rate_bound!r}")
+    return 0 if cert.passed() else 2
 
 
 # Overflow or NaN inside an oracle's numpy arithmetic is caught where the

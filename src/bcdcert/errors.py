@@ -60,10 +60,6 @@ class InnerSolveFailed(BcdcertError):
 
 # -- certificate errors ------------------------------------------------------
 
-class EmptyHistory(BcdcertError):
-    """Operation needs at least one recorded iteration."""
-
-
 class InsufficientHistory(BcdcertError):
     """Rate fitting needs more records than were provided."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificate import Certificate, History, check_record, check_tol_for, fold
-from .errors import BcdcertError
+from .errors import BcdcertError, NonFiniteValue
 from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
 from .strategies import (
     BacktrackParams,
@@ -104,6 +104,19 @@ def _resolve_y_tol(obj, start, cfg):
     return 1e-10 * max(1.0, gy0)
 
 
+def _append_row(rows: list, t: int, row: tuple) -> None:
+    """Append a record's raw fields after ``check_record``; a number that overflowed ends the run.
+
+    The solver's own fields are non-negative norms and checked constants,
+    so only finiteness can fail: a gradient norm whose square overflows.
+    """
+    try:
+        check_record(t, *row)
+    except ValueError as exc:
+        raise NonFiniteValue(str(exc)) from None
+    rows.append(row)
+
+
 def _result(rows, f0, point, stop, error, t_start, y_tol, init_residual=0.0) -> RunResult:
     """Fold the recorded rows once and package the run; an error invalidates the certificate."""
     history = History.from_rows(rows)
@@ -162,9 +175,7 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             point, residual, f_after_y, gy = stationary_y(
                 obj, upd.point, upd.f_next, y_tol, check_tol
             )
-            row = (f_cur, upd.f_next, f_after_y, gx_norm_sq, residual, upd.e_t)
-            check_record(t, *row)
-            rows.append(row)
+            _append_row(rows, t, (f_cur, upd.f_next, f_after_y, gx_norm_sq, residual, upd.e_t))
             f_cur = f_after_y
     except BcdcertError as err:
         error = err
@@ -201,10 +212,8 @@ def solve_gd_baseline(
         for t in range(max_iters):
             nxt = full_gradient_step(point, gx, gy, step)
             f_next, gx_next, gy_next = evaluate(obj, nxt)
-            row = (f_cur, f_next, f_next, float(gx @ gx) + float(gy @ gy),
-                   float(np.linalg.norm(gy)), e_t)
-            check_record(t, *row)
-            rows.append(row)
+            _append_row(rows, t, (f_cur, f_next, f_next, float(gx @ gx) + float(gy @ gy),
+                                  float(np.linalg.norm(gy)), e_t))
             point, f_cur, gx, gy = nxt, f_next, gx_next, gy_next
     except BcdcertError as err:
         error = err

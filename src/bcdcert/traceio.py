@@ -7,7 +7,12 @@ repr(), which parses back to the identical double, and the fold performs
 the same arithmetic on the same values. Any single edited cell therefore
 shows up as an exact mismatch (or as a broken f-chain between consecutive
 rows). A parsed trace is columnar (``Trace``) and is audited a whole column
-at a time.
+at a time. The audit's verdict is the fold's ``Certificate``, the same
+object ``solve()`` returns for the run that wrote the file.
+
+``read_trace`` requires the six raw columns to be finite; the derived ones
+may hold inf (an overflowing sum or bound in an honest run), and only the
+refold judges them.
 
 The check tolerance is not stored: it is ``check_tol_for(f0)``, with f0 the
 first row's ``f_before``, the same number the run used, so the file alone
@@ -19,7 +24,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import os
 import tempfile
 from array import array
@@ -27,17 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import (
-    RAW_FIELDS,
-    Certificate,
-    History,
-    IterationRecord,
-    check_tol_for,
-    check_record,
-    fit_rate,
-    fold,
-)
-from .errors import DegenerateFit, InsufficientHistory, SchemaMismatch, TamperDetected
+from .certificate import RAW_FIELDS, Certificate, History, IterationRecord, check_record, fold
+from .errors import SchemaMismatch, TamperDetected
 
 TRACE_HEADER = "t,f_before,f_after_x,f_after_y,gx_norm_sq,gy_residual,e_t,suff_ok,cum_sum,rate_bound_prefix"
 
@@ -74,23 +69,6 @@ class Trace(History):
         return TraceRow(IterationRecord(t, *values[:7]), *values[7:])
 
 
-@dataclass
-class TraceVerdict:
-    """Outcome of refolding a trace. Produced only if no tampering was found."""
-
-    num_rows: int
-    check_tol: float
-    all_steps_ok: bool
-    telescope_ok: bool
-    rate_bound_ok: bool
-    certificate: Certificate | None
-    slope: float | None
-    slope_note: str
-
-    def passed(self) -> bool:
-        return self.all_steps_ok and self.telescope_ok and self.rate_bound_ok
-
-
 def _atomic_write(path: str, chunks) -> None:
     """Write the strings of ``chunks`` to ``path`` through a temporary file and a rename."""
     dirname = os.path.dirname(os.path.abspath(path))
@@ -105,13 +83,11 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
-def write_trace(path: str, history) -> None:
-    """Write a History, or records in order, as a trace CSV (whole-file atomic).
+def write_trace(path: str, history: History) -> None:
+    """Write a History as a trace CSV (whole-file atomic).
 
     Lines are rendered from the columns with repr(), one at a time.
     """
-    if not isinstance(history, History):
-        history = History.from_records(history)
     suff_ok, cum_sum, rate_bound, _ = fold(history)
     columns = [map(str, range(len(history)))]
     columns += [map(repr, getattr(history, name).tolist()) for name in RAW_FIELDS]
@@ -149,9 +125,12 @@ def _parse_row(cells: list[str], index: int, flags: list, values: array) -> str 
 
 
 def _first_bad_value(table: np.ndarray) -> str | None:
-    """The message for the first row (a column of ``table``) with a non-finite cell or invalid raw fields."""
-    finite = np.isfinite(table).all(axis=0)
+    """The message for the first row (a column of ``table``) whose raw fields are invalid.
+
+    Only the raw fields: the derived cells are left to the refold.
+    """
     raw = table[: len(RAW_FIELDS)]
+    finite = np.isfinite(raw).all(axis=0)
     # check_record's conditions, a column at a time; it words the first failure
     bad = ~finite | (raw[3] < 0) | (raw[4] < 0) | ~(raw[5] > 0)
     for t in np.flatnonzero(bad).tolist():
@@ -193,31 +172,20 @@ def read_trace(path: str) -> Trace:
     return Trace(*table[: len(RAW_FIELDS)], flags, cum_sum=table[-2], rate_bound_prefix=table[-1])
 
 
-def verify_trace(rows: Trace) -> TraceVerdict:
-    """Refold a parsed trace and check it end to end.
+def verify_trace(rows: Trace) -> Certificate:
+    """Refold a parsed trace and return its certificate, or raise TamperDetected.
 
-    Raises TamperDetected (naming the first offending row) if the f-chain
-    between consecutive rows is broken, which is checked first, or any
-    recorded derived column disagrees with recomputation (suff_ok, then
-    cum_sum, then rate_bound_prefix within a row). Otherwise returns a
-    TraceVerdict carrying the refolded certificate's verdicts (the step
-    checks and the telescoped and rate bounds at every prefix, all decided
-    by ``fold``) and the fitted log-log slope of the min-so-far gradient norm.
+    TamperDetected names the first offending row: the f-chain between
+    consecutive rows is checked first, then whether any recorded derived
+    column disagrees with recomputation (suff_ok, then cum_sum, then
+    rate_bound_prefix within a row). Otherwise the result is ``fold``'s
+    certificate of the rows, whose verdicts (the step checks and the
+    telescoped and rate bounds at every prefix) are the ones the run that
+    wrote the trace reached; an empty trace gives ``Certificate.fresh(nan)``.
 
     Every check uses ``check_tol_for(f0)`` with f0 taken from the first row,
     the tolerance the run that wrote the trace used.
     """
-    if len(rows) == 0:
-        return TraceVerdict(
-            num_rows=0,
-            check_tol=math.nan,
-            all_steps_ok=True,
-            telescope_ok=True,
-            rate_bound_ok=True,
-            certificate=None,
-            slope=None,
-            slope_note="insufficient history",
-        )
     broken = rows.f_before[1:] != rows.f_after_y[:-1]
     if broken.any():
         t = int(np.argmax(broken)) + 1
@@ -234,23 +202,4 @@ def verify_trace(rows: Trace) -> TraceVerdict:
         t = int(np.argmax(bad))
         column = next(name for name, differs in mismatches if differs[t])
         raise TamperDetected(f"row {t}: {column} does not refold")
-
-    slope = None
-    try:
-        slope = fit_rate(rows)
-        note = "ok"
-    except InsufficientHistory:
-        note = "insufficient history"
-    except DegenerateFit as exc:
-        note = str(exc)
-
-    return TraceVerdict(
-        num_rows=len(rows),
-        check_tol=check_tol_for(cert.f0),
-        all_steps_ok=cert.all_steps_ok,
-        telescope_ok=cert.telescope_ok,
-        rate_bound_ok=cert.rate_bound_ok,
-        certificate=cert,
-        slope=slope,
-        slope_note=note,
-    )
+    return cert

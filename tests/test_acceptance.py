@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from bcdcert.certificate import IterationRecord, check_tol_for, fit_rate
+from bcdcert.certificate import History, IterationRecord, check_tol_for, fit_rate
 from bcdcert.cli import main as cli_main
 from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
 from bcdcert.problem import BlockPoint, evaluate
@@ -164,7 +164,7 @@ def test_criterion_4_rate_bound_and_slope(zoo_runs):
         )
         for t in range(400)
     ]
-    slope = fit_rate(recs)
+    slope = fit_rate(History.from_records(recs))
     if abs(slope - (-0.5)) > 1e-6:
         failures.append(f"synthetic slope {slope!r} not within 1e-6 of -0.5")
     announce(4, "min-gradient rate bound and -1/2 slope", failures, t0, budget=10.0)

@@ -131,7 +131,11 @@ def test_a_short_row(tmp_path, honest):
 @pytest.mark.parametrize("col", ["f_before", "gy_residual", "cum_sum", "rate_bound_prefix"])
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
 def test_a_non_finite_cell(tmp_path, honest, col, token):
-    assert schema(tmp_path, honest, {(8, col): token}) == "row 8: non-finite field"
+    # a raw cell must be finite to parse; a derived one is judged by the refold
+    if col in ("f_before", "gy_residual"):
+        assert schema(tmp_path, honest, {(8, col): token}) == "row 8: non-finite field"
+    else:
+        assert tamper(tmp_path, honest, {(8, col): token}) == f"row 8: {col} does not refold"
 
 
 @pytest.mark.parametrize("col", ["gx_norm_sq", "gy_residual"])

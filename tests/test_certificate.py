@@ -11,10 +11,10 @@ from bcdcert.certificate import (
     check_tol_for,
     fit_rate,
     fold,
-    min_grad_bound,
+    rate_bound,
     sufficient_decrease,
 )
-from bcdcert.errors import DegenerateFit, EmptyHistory, InsufficientHistory
+from bcdcert.errors import DegenerateFit, InsufficientHistory
 from bcdcert.traceio import read_trace, verify_trace, write_trace
 
 
@@ -159,11 +159,12 @@ def test_telescope_is_checked_at_every_prefix():
 
 def test_trace_audit_agrees_with_the_fold(tmp_path):
     path = str(tmp_path / "prefix.trace.csv")
-    write_trace(path, telescope_fails_only_at_prefix_0())
-    verdict = verify_trace(read_trace(path))
-    assert verdict.all_steps_ok and verdict.rate_bound_ok
-    assert not verdict.telescope_ok and not verdict.passed()
-    assert verdict.certificate.telescope_ok is False
+    records = telescope_fails_only_at_prefix_0()
+    write_trace(path, History.from_records(records))
+    cert = verify_trace(read_trace(path))
+    assert cert == folded(records)[3]
+    assert cert.all_steps_ok and cert.rate_bound_ok
+    assert cert.telescope_ok is False and not cert.passed()
 
 
 def test_fold_checks_the_rate_bound():
@@ -178,20 +179,29 @@ def test_fold_checks_the_rate_bound():
     assert not cert.passed()
 
 
-def test_min_grad_bound_needs_history():
-    with pytest.raises(EmptyHistory):
-        min_grad_bound(Certificate.fresh(1.0))
-
-
 def test_rate_bound_is_nan_before_any_step():
     assert math.isnan(Certificate.fresh(1.0).rate_bound)
 
 
-def test_min_grad_bound_on_the_chain():
+def test_min_grad_sq_and_rate_bound_on_the_chain():
     cert = folded(CHAIN)[3]
-    mg, bound = min_grad_bound(cert)
-    assert (mg, bound) == (0.0625, 0.234375)
-    assert mg <= bound
+    assert (cert.min_grad_sq, cert.rate_bound) == (0.0625, 0.234375)
+    assert type(cert.rate_bound) is float
+
+
+@pytest.mark.parametrize("drop", [0.0, -0.0])
+def test_a_zero_drop_bounds_at_zero_when_two_e_max_overflows(drop):
+    # 2 * 1e308 is inf, and inf * 0 would be NaN: the bound is the drop itself
+    cert = Certificate(f0=drop, f_final=0.0, num_steps=3, e_max=1e308)
+    assert cert.rate_bound == 0.0 and math.copysign(1.0, cert.rate_bound) == math.copysign(1.0, drop)
+
+
+def test_rate_bound_keeps_the_plain_product_elsewhere():
+    e_max, drop = np.array([1e308, 1.5, 5e-324, 3.0]), np.array([-2.0, 0.1, 0.7, 1e308])
+    with np.errstate(over="ignore"):
+        plain = 2.0 * e_max * drop / 3.0
+        assert rate_bound(e_max, drop, 3.0).tolist() == plain.tolist()
+    assert [rate_bound(e, d, 3) for e, d in zip(e_max.tolist(), drop.tolist())] == plain.tolist()
 
 
 def test_invalidated_certificate_never_passes():
@@ -216,12 +226,12 @@ def power_law_history(n, exponent=-0.5):
 
 
 def test_fit_rate_recovers_the_half_power_law():
-    slope = fit_rate(power_law_history(200))
+    slope = fit_rate(History.from_records(power_law_history(200)))
     assert slope == pytest.approx(-0.5, abs=1e-6)
 
 
 def test_fit_rate_recovers_other_exponents():
-    slope = fit_rate(power_law_history(100, exponent=-1.0))
+    slope = fit_rate(History.from_records(power_law_history(100, exponent=-1.0)))
     assert slope == pytest.approx(-1.0, abs=1e-6)
 
 
@@ -229,25 +239,20 @@ def test_fit_rate_uses_the_running_minimum():
     # an up-spike in the gradient must not affect the fitted envelope
     records = power_law_history(50)
     records[30] = dataclasses.replace(records[30], gx_norm_sq=100.0)
-    slope = fit_rate(records)
+    slope = fit_rate(History.from_records(records))
     assert slope == pytest.approx(-0.5, abs=0.02)
 
 
 def test_fit_rate_needs_ten_records():
     with pytest.raises(InsufficientHistory):
-        fit_rate(power_law_history(9))
+        fit_rate(History.from_records(power_law_history(9)))
 
 
 def test_fit_rate_rejects_exact_zero_norms():
     records = power_law_history(12)
     records[5] = dataclasses.replace(records[5], gx_norm_sq=0.0)
     with pytest.raises(DegenerateFit):
-        fit_rate(records)
-
-
-def test_fit_rate_reads_a_history_like_its_records():
-    records = power_law_history(50)
-    assert fit_rate(History.from_records(records)) == fit_rate(records)
+        fit_rate(History.from_records(records))
 
 
 def test_records_are_immutable():

@@ -440,6 +440,36 @@ def test_run_survives_an_oracle_that_breaks_mid_run(tmp_path):
     assert len(read_trace(out + ".trace.csv")) == 2
 
 
+def test_run_baseline_whose_record_overflows_writes_a_summary(tmp_path):
+    # the baseline's joint gradient norm squared overflows in its first
+    # record: the run ends on a NonFiniteValue, not a bare ValueError
+    cfg = write_cfg(
+        tmp_path,
+        """
+        [problem]
+        family = tight_quadratic
+        l = 4
+        anchor = 1
+        g = 1e200
+
+        [solver]
+        start_x = 1.0
+
+        [baseline]
+        step = 1e-300
+        max_iters = 3
+        """,
+    )
+    out = str(tmp_path / "overflow")
+    proc = cli_process("-m", "bcdcert.cli", "run", "--config", cfg, "--out", out, "--quiet")
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    base = json.loads(Path(out + ".summary.json").read_text())["baseline"]
+    assert base["stop_reason"] == "error" and base["T"] == 0
+    assert base["error"] == {"type": "NonFiniteValue", "message": "record 0 has non-finite fields"}
+
+
 def test_run_config_error_exit(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[problem]\nfamily = nope\n")
     assert run_cli(["run", "--config", cfg]) == 1
@@ -524,6 +554,57 @@ def test_report_refolds_an_honest_trace_with_the_runs_tolerance(tmp_path, capsys
     assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert len(read_trace(out + ".trace.csv")) > 80
     assert run_cli(["report", out + ".trace.csv", "--quiet"]) == 0
+
+
+def test_run_and_report_agree_when_two_e_max_overflows(tmp_path, capsys):
+    # every step certifies but f never drops, and 2 e_max overflows: the rate
+    # bound is 0 (not inf * 0 = NaN), so both refuse the rate claim alike
+    cfg = write_cfg(
+        tmp_path,
+        """
+        [problem]
+        family = coupled_quadratic
+        n_x = 4
+        n_y = 3
+
+        [solver]
+        x_strategy = backtracking
+        backtrack_l_init = 1e308
+        max_iters = 5
+        """,
+    )
+    out = str(tmp_path / "flat")
+    assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 2
+    summary = json.load(open(out + ".summary.json"))
+    assert summary["all_steps_ok"] is True and summary["rate_bound_ok"] is False
+    assert summary["rate_bound"] == 0.0
+    assert run_cli(["report", out + ".trace.csv"]) == 2
+    assert "rate bound at every prefix: False" in capsys.readouterr().out
+
+
+def test_report_accepts_an_honest_trace_with_an_infinite_rate_bound(tmp_path, capsys):
+    # a certified run whose declared constant is 1e308 writes inf into
+    # rate_bound_prefix; the refold reaches the same inf, so the file is sound
+    cfg = write_cfg(
+        tmp_path,
+        """
+        [problem]
+        family = coupled_quadratic
+        n_x = 4
+        n_y = 3
+        lipschitz_override = 1e308
+
+        [solver]
+        x_strategy = exact_min
+        max_iters = 5
+        """,
+    )
+    out = str(tmp_path / "huge_l")
+    assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert json.load(open(out + ".summary.json"))["certified"] is True
+    assert np.isinf(read_trace(out + ".trace.csv").rate_bound_prefix).all()
+    assert run_cli(["report", out + ".trace.csv"]) == 0
+    assert "rate bound at every prefix: True" in capsys.readouterr().out
 
 
 # --- check command -----------------------------------------------------------

@@ -2,8 +2,10 @@
 
 ``reference_fold`` is the certificate fold written the obvious way: one
 record at a time, Python floats, running sum from 0.0, max from 0.0 and min
-from +inf. The vectorized fold must reproduce every derived column and every
-certificate field it computes exactly, including the sign of a zero.
+from +inf, and a zero drop bounding the rate at that zero (``2 e_max`` may
+overflow, and inf * 0 is not a bound). The vectorized fold must reproduce
+every derived column and every certificate field it computes exactly,
+including the sign of a zero.
 """
 
 import math
@@ -29,7 +31,7 @@ def reference_fold(rows):
         e_max, e_min = max(e_max, e), min(e_min, e)
         min_g, max_gy = min(min_g, g_sq), max(max_gy, gy)
         drop = f0 - f_after_y
-        rate = 2.0 * e_max * drop / (t + 1)
+        rate = drop if drop == 0.0 else 2.0 * e_max * drop / (t + 1)
         telescope_ok = telescope_ok and running_sum <= drop + tol
         rate_bound_ok = rate_bound_ok and min_g <= rate + tol
         all_steps_ok = all_steps_ok and ok
@@ -137,8 +139,10 @@ def test_fold_matches_the_loop_on_steps_at_the_tolerance(rows):
 @settings(deadline=None, max_examples=200)
 @given(raw_rows)
 def test_fold_matches_the_loop_on_any_valid_rows(rows):
-    # unchained and extreme: sums and rate bounds overflow to inf or NaN
+    # unchained and extreme: sums and rate bounds overflow to inf, never to NaN
     assert_fold_matches_reference(rows)
+    _, cum_sum, rate_bound, _ = fold(History.from_rows(rows))
+    assert not np.isnan(cum_sum).any() and not np.isnan(rate_bound).any()
 
 
 def test_fold_of_one_row():
@@ -203,3 +207,12 @@ def test_a_telescope_bound_first_failing_at_prefix_k(k):
     assert int(np.argmax(cum_sum > drop + check_tol_for(64.0))) == k
     _, ref_cert = assert_fold_matches_reference(rows)
     assert not cert.telescope_ok and ref_cert == cert
+
+
+def test_a_zero_drop_bounds_the_rate_at_zero_when_two_e_max_overflows():
+    # f never moves while the certified constant sits at 1e308: the bound is 0, not inf * 0
+    rows = [(0.5, 0.5, 0.5, 4.0, 0.0, 1e308)] * 3
+    _, _, rate_bound, cert = fold(History.from_rows(rows))
+    assert bits(rate_bound.tolist()) == bits([0.0, 0.0, 0.0])
+    assert cert.all_steps_ok and cert.telescope_ok and not cert.rate_bound_ok
+    assert_fold_matches_reference(rows)

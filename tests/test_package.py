@@ -16,6 +16,13 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_every_exported_name_is_in_the_readme():
+    # the root offers what the README documents, and nothing more
+    readme = README.read_text()
+    undocumented = [name for name in bcdcert.__all__ if not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert undocumented == []
+
+
 def test_readme_library_snippet_runs():
     section = README.read_text().split("## Library use", 1)[1]
     snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)

@@ -5,6 +5,7 @@ an instance seed and a run length, so the examples cover every x-strategy,
 both y-paths and runs that stop at the roundoff floor.
 """
 
+import dataclasses
 import os
 import tempfile
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bcdcert.certificate import check_tol_for
 from bcdcert.errors import BcdcertError, TamperDetected
 from bcdcert.solver import SolverConfig, StopReason, solve
 from bcdcert.traceio import read_trace, verify_trace, write_trace
@@ -56,11 +58,11 @@ def test_written_history_verifies_as_the_run_certified(draw):
         rows = read_trace(path)
     finally:
         os.unlink(path)
-    verdict = verify_trace(rows)  # an honest trace never raises TamperDetected
-    assert verdict.check_tol == res.check_tol
+    cert = verify_trace(rows)  # an honest trace never raises TamperDetected
+    assert check_tol_for(cert.f0) == res.check_tol
     assert [row.record.suff_ok for row in rows] == [rec.suff_ok for rec in res.history]
-    if res.stop_reason is not StopReason.ERROR:
-        assert verdict.passed() == res.certificate.passed()
+    # the audit reaches the run's own certificate; only the run knows it stopped on an error
+    assert cert == dataclasses.replace(res.certificate, invalidated=False)
 
 
 @SETTINGS

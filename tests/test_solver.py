@@ -367,6 +367,18 @@ def test_baseline_diverges_with_a_block_only_step():
     assert res.certificate.invalidated
 
 
+def test_baseline_whose_gradient_norm_overflows_ends_on_an_error():
+    # ||grad||^2 = 1e400 is not a number a record can hold; the run returns
+    # with stop_reason = ERROR instead of raising check_record's ValueError
+    obj = TightQuadratic(4.0, [1.0], [1e200])
+    with np.errstate(over="ignore"):
+        res = solve_gd_baseline(obj, BlockPoint([1.0], []), 1e-300, 3)
+    assert res.stop_reason is StopReason.ERROR
+    assert isinstance(res.error, NonFiniteValue)
+    assert str(res.error) == "record 0 has non-finite fields"
+    assert res.iterations == 0 and res.certificate.invalidated
+
+
 def test_baseline_comparison_is_reportable_not_asserted():
     # same start: both traces exist and are monotone; BCD's per-iteration
     # f-gap is printed for inspection, never asserted as a guarantee

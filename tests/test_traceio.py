@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from bcdcert.certificate import History, fold
-from bcdcert.errors import SchemaMismatch, TamperDetected
+from bcdcert.certificate import History, check_tol_for, fit_rate, fold
+from bcdcert.errors import InsufficientHistory, SchemaMismatch, TamperDetected
 from bcdcert.solver import SolverConfig, solve
 from bcdcert.traceio import (
     TRACE_HEADER,
@@ -50,15 +50,14 @@ def test_round_trip_is_bitwise(tmp_path):
         assert got.e_t == rec.e_t
 
 
-def test_fresh_trace_verifies(tmp_path):
+def test_fresh_trace_verifies_to_the_runs_certificate(tmp_path):
     res, path = run_and_write(tmp_path)
-    verdict = verify_trace(read_trace(path))
-    assert verdict.passed()
-    assert verdict.num_rows == len(res.history)
-    assert verdict.all_steps_ok and verdict.telescope_ok and verdict.rate_bound_ok
-    assert verdict.certificate.running_sum == res.certificate.running_sum
+    cert = verify_trace(read_trace(path))
+    # one verdict: the audit returns the very certificate the run folded
+    assert cert == res.certificate and cert.passed()
+    assert cert.num_steps == len(res.history)
     # the audit recovers the run's tolerance from the file alone
-    assert verdict.check_tol == res.check_tol
+    assert check_tol_for(cert.f0) == res.check_tol
 
 
 def test_derived_columns_match_a_refold(tmp_path):
@@ -88,30 +87,23 @@ def test_rows_read_like_a_list(tmp_path):
         rows[len(rows)]
 
 
-def test_writing_records_out_of_order_is_refused(tmp_path):
-    res, _ = run_and_write(tmp_path)
-    records = list(res.history)
-    with pytest.raises(ValueError, match="record t=1 at index 0"):
-        write_trace(str(tmp_path / "swapped.trace.csv"), [records[1], records[0]])
-
-
-def test_records_and_their_history_write_the_same_bytes(tmp_path):
+def test_a_history_rebuilt_from_its_records_writes_the_same_bytes(tmp_path):
     res, path = run_and_write(tmp_path)
     again = str(tmp_path / "records.trace.csv")
-    write_trace(again, list(res.history))
+    write_trace(again, History.from_records(list(res.history)))
     assert open(again, "rb").read() == open(path, "rb").read()
 
 
 def test_empty_trace_is_trivially_valid(tmp_path):
     path = str(tmp_path / "empty.trace.csv")
-    write_trace(path, [])
+    write_trace(path, History.from_rows([]))
     rows = read_trace(path)
     assert rows == []
-    verdict = verify_trace(rows)
-    assert verdict.passed()
-    assert verdict.num_rows == 0
-    assert verdict.slope is None
-    assert verdict.slope_note == "insufficient history"
+    cert = verify_trace(rows)
+    assert cert.passed() and cert.num_steps == 0
+    assert math.isnan(cert.f0) and math.isnan(cert.rate_bound)
+    with pytest.raises(InsufficientHistory):
+        fit_rate(rows)
 
 
 def test_no_temp_files_left_behind(tmp_path):
