@@ -89,7 +89,11 @@ class History:
 
     @classmethod
     def from_rows(cls, rows, suff_ok=None) -> "History":
-        """From (f_before, ..., e_t) tuples, already checked; suff_ok defaults to all False."""
+        """From rows of (f_before, ..., e_t), already checked; suff_ok defaults to all False.
+
+        ``rows`` is a sequence of tuples or an (n, 6) float64 array, which is
+        copied in one step.
+        """
         table = np.array(rows, dtype=np.float64).reshape(len(rows), len(RAW_FIELDS))
         if suff_ok is None:
             suff_ok = np.zeros(len(rows), dtype=bool)
@@ -135,6 +139,11 @@ class Certificate:
 
     Fold identities: ``e_min``/``min_grad_sq`` start at +inf, ``e_max`` at 0.
     ``telescope_ok``/``rate_bound_ok`` say the bound held at every prefix.
+    ``vacuous_steps`` counts the steps whose required decrease
+    ||gx||^2 / (2 e_t) is at most the tolerance, so that their check says
+    only that f did not rise by more than the tolerance; ``grad_floor``,
+    sqrt(2 e_max tol), is the gradient norm below which every step is such
+    a step.
     ``invalidated`` marks a certificate whose run aborted mid-iteration; it is
     returned for diagnosis but never counts as passing.
     """
@@ -150,6 +159,8 @@ class Certificate:
     telescope_ok: bool = True
     rate_bound_ok: bool = True
     all_steps_ok: bool = True
+    vacuous_steps: int = 0
+    grad_floor: float = 0.0
     invalidated: bool = False
 
     @classmethod
@@ -221,17 +232,19 @@ def fold(history: History, f0: float = math.nan):
     tol = check_tol_for(f0)
     with np.errstate(over="ignore", invalid="ignore"):
         suff_ok = sufficient_decrease(f_before, f_after_x, g_sq, e, tol) & (f_after_y <= f_after_x + tol)
-        cum_sum = np.add.accumulate(np.concatenate(([0.0], g_sq / (2.0 * e))))[1:]
+        required = g_sq / (2.0 * e)
+        cum_sum = np.add.accumulate(np.concatenate(([0.0], required)))[1:]
         drop = f0 - f_after_y
         bound = rate_bound(np.maximum.accumulate(e), drop, np.arange(1.0, n + 1.0))
         telescope_ok = bool(np.all(cum_sum <= drop + tol))
         rate_bound_ok = bool(np.all(np.minimum.accumulate(g_sq) <= bound + tol))
+    e_max = float(e.max())
     cert = Certificate(
         f0=f0,
         f_final=float(f_after_y[-1]),
         num_steps=n,
         running_sum=float(cum_sum[-1]),
-        e_max=float(e.max()),
+        e_max=e_max,
         e_min=float(e.min()),
         # the first of tied minima, as a min() fold keeps it (0.0 vs -0.0)
         min_grad_sq=float(g_sq[np.argmin(g_sq)]),
@@ -239,6 +252,8 @@ def fold(history: History, f0: float = math.nan):
         telescope_ok=telescope_ok,
         rate_bound_ok=rate_bound_ok,
         all_steps_ok=bool(suff_ok.all()),
+        vacuous_steps=int(np.count_nonzero(required <= tol)),
+        grad_floor=math.sqrt(2.0 * e_max * tol),
     )
     return suff_ok, cum_sum, bound, cert
 

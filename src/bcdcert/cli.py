@@ -260,6 +260,8 @@ def _summarize(cfg: RunConfig, result) -> dict:
         "telescope_ok": cert.telescope_ok,
         "rate_bound_ok": cert.rate_bound_ok,
         "all_steps_ok": cert.all_steps_ok,
+        "vacuous_steps": cert.vacuous_steps,
+        "grad_floor": _num(cert.grad_floor),
         "certified": cert.passed(),
         "max_gy_residual": _num(cert.max_gy_residual),
         "init_y_residual": _num(result.init_y_residual),
@@ -290,26 +292,30 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
     )
 
     trace_path = cfg.out_prefix + ".trace.csv"
-    write_trace(trace_path, result.history)
-    trace_files = [trace_path]
-
-    if cfg.baseline_step is not None:
-        base = solve_gd_baseline(obj, start, cfg.baseline_step, cfg.baseline_iters)
-        base_path = cfg.out_prefix + ".baseline.trace.csv"
-        write_trace(base_path, base.history)
-        trace_files.append(base_path)
-        summary["baseline"] = {
-            "step": cfg.baseline_step,
-            "f0": _num(base.certificate.f0),
-            "f_final": _num(base.certificate.f_final),
-            "T": base.certificate.num_steps,
-            "stop_reason": base.stop_reason.value,
-            "error": _error_payload(base.error),
-        }
-
-    summary["trace_files"] = trace_files
     summary_path = cfg.out_prefix + ".summary.json"
-    write_json(summary_path, summary)
+    try:
+        write_trace(trace_path, result.history)
+        trace_files = [trace_path]
+
+        if cfg.baseline_step is not None:
+            base = solve_gd_baseline(obj, start, cfg.baseline_step, cfg.baseline_iters)
+            base_path = cfg.out_prefix + ".baseline.trace.csv"
+            write_trace(base_path, base.history)
+            trace_files.append(base_path)
+            summary["baseline"] = {
+                "step": cfg.baseline_step,
+                "f0": _num(base.certificate.f0),
+                "f_final": _num(base.certificate.f_final),
+                "T": base.certificate.num_steps,
+                "stop_reason": base.stop_reason.value,
+                "error": _error_payload(base.error),
+            }
+
+        summary["trace_files"] = trace_files
+        write_json(summary_path, summary)
+    except OSError as exc:
+        print(f"error: cannot write output {cfg.out_prefix!r}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
     if result.stop_reason is StopReason.ERROR:
         print(f"error: {result.error}", file=sys.stderr)
@@ -379,8 +385,8 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
                 break
             q = p.with_y(star) if block == "y" else p.with_x(star)
             obj.check_point(q)
-            res = float(np.linalg.norm(checked_grad(obj, q, block)))
-            base = max(1.0, float(np.linalg.norm(checked_grad(obj, p, block))))
+            res = math.sqrt(checked_grad(obj, q, block)[1])
+            base = max(1.0, math.sqrt(checked_grad(obj, p, block)[1]))
             worst_res = max(worst_res, res / base)
             f_p = checked_value(obj, p)
             if res > 1e-10 * base or checked_value(obj, q) > f_p + check_tol_for(f_p):
@@ -466,6 +472,8 @@ def cmd_report(trace_path: str, quiet: bool = False) -> int:
         print(f"min-grad decay slope: {slope}")
         if cert.num_steps:
             print(f"min_grad_sq: {cert.min_grad_sq!r} <= rate_bound: {cert.rate_bound!r}")
+            print(f"vacuous steps (required decrease <= tolerance): {cert.vacuous_steps}")
+            print(f"gradient floor sqrt(2 e_max tol): {cert.grad_floor!r}")
     return 0 if cert.passed() else 2
 
 

@@ -50,8 +50,8 @@ def fd_check_gradients(obj: Objective, p: BlockPoint, h: float | None = None) ->
     if h is not None and not h > 0:
         raise ValueError("h must be positive")
     obj.check_point(p)
-    gx = checked_grad(obj, p, "x")
-    gy = checked_grad(obj, p, "y")
+    gx, _ = checked_grad(obj, p, "x")
+    gy, _ = checked_grad(obj, p, "y")
 
     max_rel = 0.0
     max_abs = 0.0
@@ -101,8 +101,8 @@ def probe_lipschitz_x(
         dist = float(np.linalg.norm(xb - xa))
         if dist == 0.0:
             continue
-        ga = checked_grad(obj, BlockPoint(xa, y), "x")
-        gb = checked_grad(obj, BlockPoint(xb, y), "x")
+        ga, _ = checked_grad(obj, BlockPoint(xa, y), "x")
+        gb, _ = checked_grad(obj, BlockPoint(xb, y), "x")
         ratio = float(np.linalg.norm(gb - ga)) / dist
         if ratio > best:
             best = ratio

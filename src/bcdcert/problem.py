@@ -18,12 +18,32 @@ from .errors import DimensionMismatch, NonFiniteValue
 Vector = np.ndarray
 
 
+def _squared_norm(arr: np.ndarray) -> float:
+    """||arr||^2 of a flat float64 array; NaN when an entry is NaN or +-inf.
+
+    The squared norm is the finiteness test. Every square is >= 0, so a NaN
+    or +-inf entry can only make the sum NaN or +inf, and a finite sum proves
+    every entry finite. Only a non-finite sum pays for the entry-by-entry
+    scan, which tells a bad entry (NaN comes back) from finite entries whose
+    squares overflow (+inf comes back). ``np.vdot`` calls the same BLAS dot
+    as ``arr @ arr``, so the sum has the same bits, but unlike ``@``, ``dot``
+    and ``sum`` it raises no overflow warning.
+    """
+    sq = float(np.vdot(arr, arr))
+    if math.isfinite(sq) or np.isfinite(arr).all():
+        return sq
+    return math.nan
+
+
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Coerce to a read-only, finite float64 1-D array (always a private copy)."""
-    arr = np.array(v, dtype=np.float64, ndmin=1)
-    if arr.ndim > 1:
-        arr = arr.ravel()
-    if not np.isfinite(arr).all():
+    if type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64:
+        arr = v.copy()
+    else:
+        arr = np.array(v, dtype=np.float64, ndmin=1)
+        if arr.ndim > 1:
+            arr = arr.ravel()
+    if math.isnan(_squared_norm(arr)):
         raise NonFiniteValue(f"{name} contains NaN/Inf entries")
     arr.flags.writeable = False
     return arr
@@ -123,9 +143,9 @@ class Objective:
         return None
 
     def check_point(self, p: BlockPoint) -> None:
-        if p.n_x != self.n_x or p.n_y != self.n_y:
+        if p.x.size != self.n_x or p.y.size != self.n_y:
             raise DimensionMismatch(
-                f"point has blocks ({p.n_x}, {p.n_y}), "
+                f"point has blocks ({p.x.size}, {p.y.size}), "
                 f"objective expects ({self.n_x}, {self.n_y})"
             )
 
@@ -157,19 +177,23 @@ def positive_lipschitz(lip) -> float:
     return lip
 
 
-def checked_grad(obj: Objective, p: BlockPoint, block: str) -> np.ndarray:
-    """One block gradient (``block`` is "x" or "y") as a flat float64 array.
+def checked_grad(obj: Objective, p: BlockPoint, block: str):
+    """One block gradient (``block`` is "x" or "y") and its squared norm.
 
-    Raises DimensionMismatch when its size is not the block's and
-    NonFiniteValue when an entry is NaN/Inf.
+    Returns ``(g, g_sq)``: ``g`` a flat float64 array and ``g_sq`` its
+    ``_squared_norm``, which is also the finiteness test. Raises
+    DimensionMismatch when the size is not the block's and NonFiniteValue
+    when an entry is NaN/Inf; finite entries whose squares overflow pass,
+    with ``g_sq = inf``.
     """
     grad, size = (obj.grad_x, obj.n_x) if block == "x" else (obj.grad_y, obj.n_y)
     g = np.asarray(grad(p), dtype=np.float64).ravel()
     if g.size != size:
         raise DimensionMismatch(f"grad_{block} has size {g.size}, expected {size}")
-    if not np.isfinite(g).all():
+    g_sq = _squared_norm(g)
+    if math.isnan(g_sq):
         raise NonFiniteValue(f"grad_{block} is non-finite at {p!r}")
-    return g
+    return g, g_sq
 
 
 def evaluate(obj: Objective, p: BlockPoint):
@@ -179,4 +203,4 @@ def evaluate(obj: Objective, p: BlockPoint):
     number it records.
     """
     obj.check_point(p)
-    return checked_value(obj, p), checked_grad(obj, p, "x"), checked_grad(obj, p, "y")
+    return checked_value(obj, p), checked_grad(obj, p, "x")[0], checked_grad(obj, p, "y")[0]

@@ -7,8 +7,11 @@ re-solves the y block and records the step. The recorded columns are folded
 into the certificate once, when the loop ends (``certificate.fold``).
 
 Each iterate is evaluated once: the x-strategy hands back the value of the
-point it moved to, and ``stationary_y`` the value and grad_y of the next
-iterate, so per iteration the solver itself only calls grad_x.
+point it moved to, and ``stationary_y`` the value and ||grad_y||^2 of the next
+iterate, so per iteration the solver itself only calls grad_x. Each number is
+computed once too: ``checked_grad`` hands back ||grad_x||^2 with the gradient,
+and the solver tests ``grad_tol`` with it, records it and passes it to the
+x-strategy.
 
 An error from any oracle or strategy mid-run does not discard the work: the
 partial history and an invalidated certificate come back on the RunResult
@@ -21,11 +24,12 @@ import dataclasses
 import enum
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import Certificate, History, check_record, check_tol_for, fold
+from .certificate import RAW_FIELDS, Certificate, History, check_record, check_tol_for, fold
 from .errors import BcdcertError, NonFiniteValue
 from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
 from .strategies import (
@@ -98,28 +102,29 @@ class RunResult:
 def _resolve_y_tol(obj, start, cfg):
     if cfg.y_tol is not None:
         return cfg.y_tol
-    gy0 = float(np.linalg.norm(checked_grad(obj, start, "y")))
+    gy0 = math.sqrt(checked_grad(obj, start, "y")[1])
     if not math.isfinite(gy0):  # finite entries whose norm overflows
         gy0 = 1.0
     return 1e-10 * max(1.0, gy0)
 
 
-def _append_row(rows: list, t: int, row: tuple) -> None:
-    """Append a record's raw fields after ``check_record``; a number that overflowed ends the run.
+def _append_row(rows: array, t: int, row: tuple) -> None:
+    """Append a record's raw fields to the flat ``rows``, after ``check_record``.
 
-    The solver's own fields are non-negative norms and checked constants,
-    so only finiteness can fail: a gradient norm whose square overflows.
+    A number that overflowed ends the run. The solver's own fields are
+    non-negative norms and checked constants, so only finiteness can fail:
+    a gradient norm whose square overflows.
     """
     try:
         check_record(t, *row)
     except ValueError as exc:
         raise NonFiniteValue(str(exc)) from None
-    rows.append(row)
+    rows.extend(row)
 
 
 def _result(rows, f0, point, stop, error, t_start, y_tol, init_residual=0.0) -> RunResult:
     """Fold the recorded rows once and package the run; an error invalidates the certificate."""
-    history = History.from_rows(rows)
+    history = History.from_rows(np.reshape(rows, (-1, len(RAW_FIELDS))))
     history.suff_ok, _, _, cert = fold(history, f0)
     cert.invalidated = error is not None
     return RunResult(
@@ -144,7 +149,7 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     init_residual = 0.0
     point = start
     f0 = math.nan
-    rows: list[tuple] = []
+    rows = array("d")
     stop = StopReason.MAX_ITERS
     error: BcdcertError | None = None
     try:
@@ -152,30 +157,29 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
         # Until the y block is solved, f at the start stands in for f0: it
         # is what an error result reports, and this one solve's tolerance.
         f0 = checked_value(obj, start)
-        point, init_residual, f_cur, gy = stationary_y(obj, start, f0, y_tol, check_tol_for(f0))
+        point, init_residual, f_cur, gy_sq = stationary_y(obj, start, f0, y_tol, check_tol_for(f0))
         f0 = f_cur
         check_tol = check_tol_for(f0)
         params = cfg.backtrack
         for t in range(cfg.max_iters):
-            gx = checked_grad(obj, point, "x")
-            gx_norm_sq = float(gx @ gx)
-            if math.sqrt(gx_norm_sq + float(gy @ gy)) <= cfg.grad_tol:
+            gx, gx_sq = checked_grad(obj, point, "x")
+            if math.sqrt(gx_sq + gy_sq) <= cfg.grad_tol:
                 stop = StopReason.GRAD_TOL
                 break
             if cfg.x_strategy == "fixed_step":
-                upd = fixed_step_gradient_x(obj, point, f_cur, gx, check_tol)
+                upd = fixed_step_gradient_x(obj, point, f_cur, gx, gx_sq, check_tol)
             elif cfg.x_strategy == "exact_min":
-                upd = exact_min_x(obj, point, f_cur, gx, check_tol)
+                upd = exact_min_x(obj, point, f_cur, gx, gx_sq, check_tol)
             else:
                 # Monotone per-run estimate: the next step starts from the
                 # accepted constant, which moves only after a rejection.
-                upd = backtracking_gradient_x(obj, point, f_cur, gx, check_tol, params)
+                upd = backtracking_gradient_x(obj, point, f_cur, gx, gx_sq, check_tol, params)
                 if upd.e_t != params.l_init:
                     params = dataclasses.replace(params, l_init=upd.e_t)
-            point, residual, f_after_y, gy = stationary_y(
+            point, residual, f_after_y, gy_sq = stationary_y(
                 obj, upd.point, upd.f_next, y_tol, check_tol
             )
-            _append_row(rows, t, (f_cur, upd.f_next, f_after_y, gx_norm_sq, residual, upd.e_t))
+            _append_row(rows, t, (f_cur, upd.f_next, f_after_y, gx_sq, residual, upd.e_t))
             f_cur = f_after_y
     except BcdcertError as err:
         error = err
@@ -203,7 +207,7 @@ def solve_gd_baseline(
 
     point = start
     f0 = math.nan
-    rows: list[tuple] = []
+    rows = array("d")
     stop = StopReason.MAX_ITERS
     error: BcdcertError | None = None
     try:

@@ -1,9 +1,9 @@
 """Block update rules.
 
-Each x-strategy takes the current point ``p`` together with ``f = f(p)`` and
-``gx = grad_x f(p)``, already measured and checked by the caller, and
-returns an :class:`XUpdateResult`: the trial point it valued, that value, and
-the ``e_t`` certifying the sufficient-decrease condition
+Each x-strategy takes the current point ``p`` together with ``f = f(p)``,
+``gx = grad_x f(p)`` and ``g_sq = ||gx||^2``, already measured and checked by
+the caller, and returns an :class:`XUpdateResult`: the trial point it valued,
+that value, and the ``e_t`` certifying the sufficient-decrease condition
 
     f(x_t, y_t) - f(x_{t+1}, y_t) >= ||grad_x f(x_t, y_t)||^2 / (2 e_t)
 
@@ -11,8 +11,8 @@ for the step it just took, within the run's tolerance ``tol`` (see
 ``certificate.check_tol_for``). The test is ``certificate.sufficient_decrease``,
 the one the certificate applies, so a step a strategy accepts is a step the
 certificate certifies. ``stationary_y`` likewise takes ``f(p)`` and
-returns the value and ``grad_y`` at the point it lands on, so no number the
-solver needs is computed twice. A strategy that cannot honor its own
+returns the value and ``||grad_y||^2`` at the point it lands on, so no number
+the solver needs is computed twice. A strategy that cannot honor its own
 certificate raises (never silently repairs): a violated guarantee means the
 caller's oracle is wrong, and that is a bug to surface.
 """
@@ -70,8 +70,7 @@ class BacktrackParams:
             raise ValueError("max_rejects must be at least 1")
 
 
-def _verify_decrease(f: float, f_next: float, gx: np.ndarray, lip: float, tol: float, culprit: str):
-    g_sq = float(gx @ gx)
+def _verify_decrease(f: float, f_next: float, g_sq: float, lip: float, tol: float, culprit: str):
     if not sufficient_decrease(f, f_next, g_sq, lip, tol):
         raise SufficientDecreaseViolated(
             f"decrease {f - f_next:.6g} < required {g_sq / (2.0 * lip):.6g} with declared "
@@ -80,7 +79,7 @@ def _verify_decrease(f: float, f_next: float, gx: np.ndarray, lip: float, tol: f
 
 
 def fixed_step_gradient_x(
-    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, tol: float
+    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, g_sq: float, tol: float
 ) -> XUpdateResult:
     """Gradient step x - (1/L) grad_x with the oracle's L(y); e_t = L(y).
 
@@ -93,12 +92,12 @@ def fixed_step_gradient_x(
     lip = positive_lipschitz(lip)
     point = p.with_x(p.x - gx / lip)
     f_next = checked_value(obj, point)
-    _verify_decrease(f, f_next, gx, lip, tol, "lipschitz_x")
+    _verify_decrease(f, f_next, g_sq, lip, tol, "lipschitz_x")
     return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
 def exact_min_x(
-    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, tol: float
+    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, g_sq: float, tol: float
 ) -> XUpdateResult:
     """x_{t+1} = argmin_x f(x, y_t); e_t = L(y_t).
 
@@ -115,12 +114,13 @@ def exact_min_x(
     point = p.with_x(x_next)
     obj.check_point(point)
     f_next = checked_value(obj, point)
-    _verify_decrease(f, f_next, gx, lip, tol, "exact_min_x or lipschitz_x")
+    _verify_decrease(f, f_next, g_sq, lip, tol, "exact_min_x or lipschitz_x")
     return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
 def backtracking_gradient_x(
-    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, tol: float, params: BacktrackParams
+    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, g_sq: float, tol: float,
+    params: BacktrackParams,
 ) -> XUpdateResult:
     """Grow a Lipschitz estimate until the trial step certifies the condition.
 
@@ -129,7 +129,6 @@ def backtracking_gradient_x(
     estimate. A non-finite trial value counts as a rejection (the step
     overshot the finite domain; growing L̂ recovers).
     """
-    g_sq = float(gx @ gx)
     if g_sq == 0.0:
         return XUpdateResult(p, f, params.l_init, 0)
 
@@ -155,18 +154,17 @@ def backtracking_gradient_x(
 def _inner_descent_y(obj, p, f, y_tol, tol):
     """Fallback when no exact y minimizer exists: certified descent on y alone.
 
-    Starts from ``p`` with ``f = f(p)``; returns (point, residual, f, grad_y)
-    at the first point whose residual is within y_tol. Steps are accepted
+    Starts from ``p`` with ``f = f(p)``; returns (point, residual, f,
+    ||grad_y||^2) at the first point whose residual is within y_tol. Steps are accepted
     with the x-strategies' decrease test and tolerance ``tol``.
     """
     point = p
     l_hat = 1.0
     for _ in range(_INNER_CAP):
-        gy = checked_grad(obj, point, "y")
-        g_sq = float(gy @ gy)
+        gy, g_sq = checked_grad(obj, point, "y")
         res = math.sqrt(g_sq)
         if res <= y_tol:
-            return point, res, f, gy
+            return point, res, f, g_sq
         for _ in range(200):
             trial = point.with_y(point.y - gy / l_hat)
             try:
@@ -189,36 +187,37 @@ def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, t
 
     ``f_before`` is f(p). Uses the exact minimizer when the objective
     provides one, otherwise an inner certified-descent loop, until
-    ||grad_y|| <= y_tol. Returns (point, residual, f_after, grad_y) at the
-    new point, where residual is ||grad_y||; it is recorded rather than
-    hidden so the certificate can expose inexact solves. Never increases f
-    by more than ``tol``, the certificate's allowance for the y-step.
+    ||grad_y|| <= y_tol. Returns (point, residual, f_after, gy_sq) at the
+    new point, where gy_sq is ||grad_y||^2 and residual its square root; the
+    residual is recorded rather than hidden so the certificate can expose
+    inexact solves. Never increases f by more than ``tol``, the
+    certificate's allowance for the y-step.
     """
     if not y_tol > 0:
         raise ValueError("y_tol must be positive")
     obj.check_point(p)
     if obj.n_y == 0:
-        return p, 0.0, f_before, np.zeros(0)
+        return p, 0.0, f_before, 0.0
 
     y_exact = obj.exact_min_y(p.x)
     if y_exact is not None:
         point = p.with_y(y_exact)
         obj.check_point(point)
-        gy = checked_grad(obj, point, "y")
-        residual = math.sqrt(float(gy @ gy))
+        _, gy_sq = checked_grad(obj, point, "y")
+        residual = math.sqrt(gy_sq)
         if residual > y_tol:
             raise InnerSolveFailed(
                 f"exact_min_y left residual {residual:.3g} > y_tol {y_tol:.3g}"
             )
         f_after = checked_value(obj, point)
     else:
-        point, residual, f_after, gy = _inner_descent_y(obj, p, f_before, y_tol, tol)
+        point, residual, f_after, gy_sq = _inner_descent_y(obj, p, f_before, y_tol, tol)
 
     if f_after > f_before + tol:
         raise InnerSolveFailed(
             f"y update increased f from {f_before:.6g} to {f_after:.6g}"
         )
-    return point, residual, f_after, gy
+    return point, residual, f_after, gy_sq
 
 
 def full_gradient_step(p: BlockPoint, gx: np.ndarray, gy: np.ndarray, step: float) -> BlockPoint:

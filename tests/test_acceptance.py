@@ -205,8 +205,8 @@ def test_criterion_6_exact_min_dominates_fixed_step():
         p = random_start(obj, seed=700 + s)
         f_p, gx, _ = evaluate(obj, p)
         tol = check_tol_for(f_p)
-        x_exact = exact_min_x(obj, p, f_p, gx, tol).point.x
-        x_fixed = fixed_step_gradient_x(obj, p, f_p, gx, tol).point.x
+        x_exact = exact_min_x(obj, p, f_p, gx, float(gx @ gx), tol).point.x
+        x_fixed = fixed_step_gradient_x(obj, p, f_p, gx, float(gx @ gx), tol).point.x
         d_exact = f_p - float(obj.value(p.with_x(x_exact)))
         d_fixed = f_p - float(obj.value(p.with_x(x_fixed)))
         if d_exact < d_fixed - 1e-12:
@@ -223,7 +223,7 @@ def test_criterion_7_backtracking_constants():
     p = BlockPoint([3.0], [])
     f_p, gx, _ = evaluate(obj, p)
     res = backtracking_gradient_x(
-        obj, p, f_p, gx, check_tol_for(f_p), BacktrackParams(l_init=1.0, growth=2.0)
+        obj, p, f_p, gx, float(gx @ gx), check_tol_for(f_p), BacktrackParams(l_init=1.0, growth=2.0)
     )
     if res.e_t != 4.0:
         failures.append(f"doubling chain accepted e_t {res.e_t!r}, expected exactly 4.0")

@@ -204,6 +204,23 @@ def test_rate_bound_keeps_the_plain_product_elsewhere():
     assert [rate_bound(e, d, 3) for e, d in zip(e_max.tolist(), drop.tolist())] == plain.tolist()
 
 
+def test_vacuous_steps_are_those_whose_required_decrease_is_within_the_tolerance():
+    # f0 = 1: tol = 1e-10. Required decreases 2e-10, 1e-10 (a tie counts), 0
+    # and 5e-11; e_max = 4, so the floor is sqrt(2 * 4 * 1e-10).
+    tol = check_tol_for(1.0)
+    chain = [
+        rec(0, 1.0, 0.5, 0.5, 4e-10, 1.0),
+        rec(1, 0.5, 0.5, 0.5, 8e-10, 4.0),
+        rec(2, 0.5, 0.5, 0.5, 0.0, 1.0),
+        rec(3, 0.5, 0.5, 0.5, 1e-10, 1.0),
+    ]
+    assert [r.gx_norm_sq / (2.0 * r.e_t) <= tol for r in chain] == [False, True, True, True]
+    cert = folded(chain)[3]
+    assert cert.vacuous_steps == 3 and cert.passed()
+    assert cert.grad_floor == math.sqrt(2.0 * 4.0 * tol)
+    assert (Certificate.fresh(1.0).vacuous_steps, Certificate.fresh(1.0).grad_floor) == (0, 0.0)
+
+
 def test_invalidated_certificate_never_passes():
     cert = folded(CHAIN[:1])[3]
     assert cert.passed()

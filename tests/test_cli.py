@@ -208,6 +208,17 @@ def test_run_writes_trace_and_summary(tmp_path, capsys):
     assert "tight_quadratic" in line and "certified=True" in line
 
 
+def test_run_into_a_missing_directory_is_an_operational_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TIGHT)
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "missing" / "demo")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write output")
+    assert "No such file or directory" in err[0]
+    assert not (tmp_path / "missing").exists()
+
+
 def test_run_quiet_silences_stdout(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TIGHT)
     out = str(tmp_path / "q")
@@ -526,6 +537,36 @@ def test_report_short_history_notes_it(tmp_path, capsys):
     trace = fresh_trace(tmp_path, extra="[solver]\nmax_iters = 1\n", out_name="onerow")
     assert run_cli(["report", trace]) == 0
     assert "insufficient history" in capsys.readouterr().out
+
+
+ROSENBROCK_SEED_1 = """
+    [problem]
+    family = two_block_rosenbrock
+    scale = 2.0
+
+    [solver]
+    x_strategy = backtracking
+    grad_tol = 1e-12
+    seed = 1
+"""
+
+
+def test_run_and_report_state_the_vacuous_steps_and_the_gradient_floor(tmp_path, capsys):
+    # Pinned: 282 of the 412 steps of this run require a decrease of at most
+    # check_tol = 1e-10, and its floor sqrt(2 * e_max * check_tol) =
+    # sqrt(2 * 32 * 1e-10) lies far above the grad_tol it meets.
+    cfg = write_cfg(tmp_path, ROSENBROCK_SEED_1)
+    out = str(tmp_path / "vac")
+    assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
+    summary = json.load(open(out + ".summary.json"))
+    assert (summary["T"], summary["vacuous_steps"], summary["stop_reason"]) == (412, 282, "grad_tol_met")
+    assert (summary["e_max"], summary["check_tol"]) == (32.0, 1e-10)
+    assert summary["grad_floor"] == math.sqrt(2.0 * 32.0 * 1e-10) == 8e-05
+    assert run_cli(["report", out + ".trace.csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "vacuous steps (required decrease <= tolerance): 282",
+        "gradient floor sqrt(2 e_max tol): 8e-05",
+    ]
 
 
 MF_6X5 = """

@@ -25,9 +25,11 @@ def reference_fold(rows):
     tol = check_tol_for(f0)
     running_sum, e_max, e_min, min_g, max_gy = 0.0, 0.0, math.inf, math.inf, 0.0
     telescope_ok = rate_bound_ok = all_steps_ok = True
+    vacuous_steps = 0
     for t, (f_before, f_after_x, f_after_y, g_sq, gy, e) in enumerate(rows):
         ok = f_before - f_after_x >= g_sq / (2.0 * e) - tol and f_after_y <= f_after_x + tol
         running_sum = running_sum + g_sq / (2.0 * e)
+        vacuous_steps += g_sq / (2.0 * e) <= tol
         e_max, e_min = max(e_max, e), min(e_min, e)
         min_g, max_gy = min(min_g, g_sq), max(max_gy, gy)
         drop = f0 - f_after_y
@@ -42,6 +44,7 @@ def reference_fold(rows):
         "f0": f0, "f_final": rows[-1][2], "num_steps": len(rows), "running_sum": running_sum,
         "e_max": e_max, "e_min": e_min, "min_grad_sq": min_g, "max_gy_residual": max_gy,
         "telescope_ok": telescope_ok, "rate_bound_ok": rate_bound_ok, "all_steps_ok": all_steps_ok,
+        "vacuous_steps": vacuous_steps, "grad_floor": math.sqrt(2.0 * e_max * tol),
     }
     return suff, cums, rates, fields
 

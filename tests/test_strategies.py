@@ -37,13 +37,13 @@ def tight():
 
 
 def at(obj, p):
-    """(f, grad_x, tol) at p, as the solver hands them to a strategy.
+    """(f, grad_x, ||grad_x||^2, tol) at p, as the solver hands them to a strategy.
 
     f and grad_x are measured and checked; tol is the check tolerance of a
     run whose first value is f.
     """
     f, gx, _ = evaluate(obj, p)
-    return f, gx, check_tol_for(f)
+    return f, gx, float(gx @ gx), check_tol_for(f)
 
 
 # --- fixed step -------------------------------------------------------------
@@ -217,8 +217,8 @@ def test_backtracking_accepts_immediately_when_l_init_suffices():
 def test_backtracking_zero_gradient_short_circuits():
     obj = tight()
     p = BlockPoint([0.0])  # the unconstrained minimizer
-    f, gx, tol = at(obj, p)
-    upd = backtracking_gradient_x(obj, p, f, gx, tol, BacktrackParams(l_init=7.0))
+    f, gx, g_sq, tol = at(obj, p)
+    upd = backtracking_gradient_x(obj, p, f, gx, g_sq, tol, BacktrackParams(l_init=7.0))
     np.testing.assert_array_equal(upd.point.x, p.x)
     assert upd.e_t == 7.0
     assert upd.f_next == f and upd.inner_evals == 0
@@ -335,23 +335,22 @@ def test_strategy_accepts_what_the_step_check_certifies(strategy, short, accepte
     p = BlockPoint([3.0])
     lip = _declared_short_by(short * tol, exact=strategy == "exact_min")
     obj = LipschitzOverride(tight(), lip)
-    f, gx, _ = at(obj, p)
-    g_sq = float(gx @ gx)
+    f, gx, g_sq, _ = at(obj, p)
     trial = p.with_x(obj.exact_min_x(p.y) if strategy == "exact_min" else p.x - gx / lip)
     f_trial = obj.value(trial)
     assert g_sq / (2.0 * lip) - (f - f_trial) == pytest.approx(short * tol, rel=1e-3)
     assert _certified(f, f_trial, g_sq, lip, tol) is accepted
 
     if strategy == "backtracking":
-        upd = backtracking_gradient_x(obj, p, f, gx, tol, BacktrackParams(l_init=lip))
+        upd = backtracking_gradient_x(obj, p, f, gx, g_sq, tol, BacktrackParams(l_init=lip))
         assert (upd.e_t == lip) is accepted  # refused, it grows the estimate
     else:
         update = fixed_step_gradient_x if strategy == "fixed_step" else exact_min_x
         if not accepted:
             with pytest.raises(SufficientDecreaseViolated):
-                update(obj, p, f, gx, tol)
+                update(obj, p, f, gx, g_sq, tol)
             return
-        upd = update(obj, p, f, gx, tol)
+        upd = update(obj, p, f, gx, g_sq, tol)
         assert upd.e_t == lip and upd.point == trial
     assert _certified(f, upd.f_next, g_sq, upd.e_t, tol)
 
@@ -364,11 +363,11 @@ def test_stationary_y_exact_path():
     rng = np.random.default_rng(5)
     p = BlockPoint(rng.standard_normal(obj.n_x), rng.standard_normal(obj.n_y))
     f = obj.value(p)
-    q, res, f_after, gy = stationary_y(obj, p, f, 1e-10, check_tol_for(f))
+    q, res, f_after, gy_sq = stationary_y(obj, p, f, 1e-10, check_tol_for(f))
     assert res <= 1e-10
     np.testing.assert_array_equal(q.x, p.x)
     assert np.linalg.norm(obj.grad_y(q)) == res
-    np.testing.assert_array_equal(gy, obj.grad_y(q))
+    assert gy_sq == float(obj.grad_y(q) @ obj.grad_y(q)) and math.sqrt(gy_sq) == res
     assert f_after == obj.value(q)
     assert obj.value(q) <= obj.value(p)
 
@@ -376,9 +375,9 @@ def test_stationary_y_exact_path():
 def test_stationary_y_empty_block():
     obj, p = tight(), BlockPoint([3.0])
     f = obj.value(p)
-    q, res, f_after, gy = stationary_y(obj, p, f, 1e-10, check_tol_for(f))
+    q, res, f_after, gy_sq = stationary_y(obj, p, f, 1e-10, check_tol_for(f))
     assert q.y.shape == (0,) and res == 0.0
-    assert q == p and f_after == obj.value(p) and gy.shape == (0,)
+    assert q == p and f_after == obj.value(p) and gy_sq == 0.0
 
 
 class _HiddenMinimizer(CoupledQuadratic):
@@ -393,11 +392,11 @@ def test_stationary_y_inner_descent_fallback():
     obj = _HiddenMinimizer(base.A, base.B, base.C, base.a, base.c)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
     f = obj.value(p)
-    q, res, f_after, gy = stationary_y(obj, p, f, 1e-8, check_tol_for(f))
+    q, res, f_after, gy_sq = stationary_y(obj, p, f, 1e-8, check_tol_for(f))
     assert res <= 1e-8
     assert np.linalg.norm(obj.grad_y(q)) == res
     assert f_after == obj.value(q)
-    np.testing.assert_array_equal(gy, obj.grad_y(q))
+    assert gy_sq == float(obj.grad_y(q) @ obj.grad_y(q)) and math.sqrt(gy_sq) == res
     assert obj.value(q) <= obj.value(p)
 
 

@@ -1,6 +1,7 @@
 """Block validations per iteration, pinned for every bundled family x strategy.
 
-``as_vector`` copies a block and scans it for NaN/Inf. ``solve`` validates
+``as_vector`` copies a block and tests it for NaN/Inf with its squared norm
+(scanning entry by entry only when that norm is not finite). ``solve`` validates
 each new block once: the x block of every x-trial (accepted or rejected) and
 the y block the y-solve lands on, or of every inner-descent trial when the
 objective has no exact y minimizer. The block a step leaves alone is shared
