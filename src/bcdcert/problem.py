@@ -35,17 +35,26 @@ def _squared_norm(arr: np.ndarray) -> float:
     return math.nan
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce to a read-only, finite float64 1-D array (always a private copy)."""
-    if type(v) is np.ndarray and v.ndim == 1 and v.dtype == np.float64:
-        arr = v.copy()
+_FLOAT64 = np.dtype(np.float64)  # a singleton: blocks are tested with ``is``
+
+
+def as_vector(v, name: str = "vector", *, copy: bool = True) -> np.ndarray:
+    """Coerce to a read-only, finite float64 1-D array.
+
+    The result is a private copy of ``v``. With ``copy=False`` a flat float64
+    ndarray is checked and frozen in place instead; only the library passes
+    that, for an array it has just computed and hands over (a trial block),
+    which nothing else holds.
+    """
+    if type(v) is np.ndarray and v.ndim == 1 and v.dtype is _FLOAT64:
+        arr = v.copy() if copy else v
     else:
         arr = np.array(v, dtype=np.float64, ndmin=1)
         if arr.ndim > 1:
             arr = arr.ravel()
     if math.isnan(_squared_norm(arr)):
         raise NonFiniteValue(f"{name} contains NaN/Inf entries")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -62,8 +71,10 @@ class BlockPoint:
 
     Immutable after construction; entries are validated finite. Either block
     may be empty (n_y = 0 lets a pure-x quadratic share the full solver path).
-    ``with_x``/``with_y`` validate only the block they replace and share the
-    other, already finite and read-only, with ``self``.
+    ``with_x``/``with_y`` copy and validate only the block they replace and
+    share the other, already finite and read-only, with ``self``. The
+    strategies build their trial points with ``_adopt_x``/``_adopt_y``,
+    which validate and freeze the block they are handed without copying it.
     """
 
     __slots__ = ("x", "y")
@@ -88,6 +99,14 @@ class BlockPoint:
 
     def with_y(self, y) -> "BlockPoint":
         return _from_blocks(self.x, as_vector(y, "y"))
+
+    def _adopt_x(self, x: np.ndarray) -> "BlockPoint":
+        """``with_x`` for a block the caller computed and gives up: not copied."""
+        return _from_blocks(as_vector(x, "x", copy=False), self.y)
+
+    def _adopt_y(self, y: np.ndarray) -> "BlockPoint":
+        """``with_y`` for a block the caller computed and gives up: not copied."""
+        return _from_blocks(self.x, as_vector(y, "y", copy=False))
 
     def __eq__(self, other):
         return (
@@ -180,14 +199,20 @@ def positive_lipschitz(lip) -> float:
 def checked_grad(obj: Objective, p: BlockPoint, block: str):
     """One block gradient (``block`` is "x" or "y") and its squared norm.
 
-    Returns ``(g, g_sq)``: ``g`` a flat float64 array and ``g_sq`` its
+    Returns ``(g, g_sq)``: ``g`` a flat, contiguous float64 array (the
+    oracle's own when it already is one, not copied) and ``g_sq`` its
     ``_squared_norm``, which is also the finiteness test. Raises
     DimensionMismatch when the size is not the block's and NonFiniteValue
     when an entry is NaN/Inf; finite entries whose squares overflow pass,
     with ``g_sq = inf``.
     """
     grad, size = (obj.grad_x, obj.n_x) if block == "x" else (obj.grad_y, obj.n_y)
-    g = np.asarray(grad(p), dtype=np.float64).ravel()
+    g = grad(p)
+    # A strided vector would take another BLAS dot path in _squared_norm,
+    # which may round differently: only a contiguous one is used as is.
+    if not (type(g) is np.ndarray and g.ndim == 1 and g.dtype is _FLOAT64
+            and g.flags.c_contiguous):
+        g = np.asarray(g, dtype=np.float64).ravel()
     if g.size != size:
         raise DimensionMismatch(f"grad_{block} has size {g.size}, expected {size}")
     g_sq = _squared_norm(g)

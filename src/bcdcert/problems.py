@@ -16,6 +16,7 @@ spec and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,20 +238,32 @@ class TwoBlockRosenbrock(Objective):
         self.n_x = 1
         self.n_y = 1
 
+    # The oracles compute on Python floats, which give the bits numpy's
+    # float64 scalars gave: the same IEEE operations, and ``**`` calls libm
+    # pow in both (``d * d`` would round differently). Unlike numpy, Python
+    # warns about nothing, and its ``**`` raises OverflowError where numpy
+    # returned inf; inf it is, so the caller's finiteness check decides.
+
     def value(self, p: BlockPoint) -> float:
-        x, y = p.x[0], p.y[0]
-        return float((1.0 - x) ** 2 + self.scale * (y - x * x) ** 2)
+        x, y = p.x.item(0), p.y.item(0)
+        try:
+            return (1.0 - x) ** 2 + self.scale * (y - x * x) ** 2
+        except OverflowError:
+            return math.inf
 
     def grad_x(self, p: BlockPoint) -> np.ndarray:
-        x, y = p.x[0], p.y[0]
+        x, y = p.x.item(0), p.y.item(0)
         return np.array([-2.0 * (1.0 - x) - 4.0 * self.scale * x * (y - x * x)])
 
     def grad_y(self, p: BlockPoint) -> np.ndarray:
-        x, y = p.x[0], p.y[0]
+        x, y = p.x.item(0), p.y.item(0)
         return np.array([2.0 * self.scale * (y - x * x)])
 
     def exact_min_y(self, x):
-        return np.array([float(x[0]) ** 2])
+        try:
+            return np.array([float(x[0]) ** 2])
+        except OverflowError:
+            return np.array([math.inf])
 
     def lower_bound(self):
         return 0.0

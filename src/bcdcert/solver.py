@@ -109,16 +109,21 @@ def _resolve_y_tol(obj, start, cfg):
 
 
 def _append_row(rows: array, t: int, row: tuple) -> None:
-    """Append a record's raw fields to the flat ``rows``, after ``check_record``.
+    """Append a record's raw fields to the flat ``rows``, after checking them.
 
-    A number that overflowed ends the run. The solver's own fields are
-    non-negative norms and checked constants, so only finiteness can fail:
-    a gradient norm whose square overflows.
+    A number that overflowed ends the run, with ``check_record``'s message.
+    The three f values come from ``checked_value``, the norms are >= 0 and
+    e_t > 0 by construction, so only the finiteness of the last three
+    fields can fail (a gradient norm whose square overflows, an estimate
+    grown past the float range). ``check_record`` runs only when their sum
+    is not finite: when one of them is not, or when three finite ones
+    overflow the sum, a row it then passes.
     """
-    try:
-        check_record(t, *row)
-    except ValueError as exc:
-        raise NonFiniteValue(str(exc)) from None
+    if not math.isfinite(row[3] + row[4] + row[5]):
+        try:
+            check_record(t, *row)
+        except ValueError as exc:
+            raise NonFiniteValue(str(exc)) from None
     rows.extend(row)
 
 

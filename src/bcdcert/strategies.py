@@ -90,7 +90,7 @@ def fixed_step_gradient_x(
     if lip is None:
         raise MissingLipschitzOracle("fixed-step update needs obj.lipschitz_x(y)")
     lip = positive_lipschitz(lip)
-    point = p.with_x(p.x - gx / lip)
+    point = p._adopt_x(p.x - gx / lip)
     f_next = checked_value(obj, point)
     _verify_decrease(f, f_next, g_sq, lip, tol, "lipschitz_x")
     return XUpdateResult(point, f_next, lip, inner_evals=1)
@@ -134,7 +134,7 @@ def backtracking_gradient_x(
 
     l_hat = params.l_init
     for trials in range(1, params.max_rejects + 2):
-        trial = p.with_x(p.x - gx / l_hat)
+        trial = p._adopt_x(p.x - gx / l_hat)
         try:
             f_try = checked_value(obj, trial)
         except NonFiniteValue:
@@ -166,7 +166,7 @@ def _inner_descent_y(obj, p, f, y_tol, tol):
         if res <= y_tol:
             return point, res, f, g_sq
         for _ in range(200):
-            trial = point.with_y(point.y - gy / l_hat)
+            trial = point._adopt_y(point.y - gy / l_hat)
             try:
                 f_try = checked_value(obj, trial)
             except NonFiniteValue:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bcdcert.errors import DimensionMismatch, NonFiniteValue
-from bcdcert.problem import BlockPoint, Objective, as_vector, evaluate
+from bcdcert.problem import BlockPoint, Objective, as_vector, checked_grad, evaluate
 
 
 class SmallQuadratic(Objective):
@@ -95,6 +95,45 @@ def test_replacement_copies_a_writable_caller_array(block):
     assert getattr(q, block)[0] == 4.0
     assert not getattr(q, block).flags.writeable
     assert v.flags.writeable  # the caller's array is left as it was
+
+
+@pytest.mark.parametrize("block", ["x", "y"])
+def test_adopted_block_is_checked_and_frozen_without_a_copy(block):
+    # the strategies' trial blocks: arrays the library computed and hands over
+    p = BlockPoint([1.0, 2.0], [3.0])
+    adopt = p._adopt_x if block == "x" else p._adopt_y
+    v = np.full(getattr(p, "n_" + block), 4.0)
+    q = adopt(v)
+    assert getattr(q, block) is v and not v.flags.writeable
+    assert getattr(q, other_block(block)) is getattr(p, other_block(block))
+    with pytest.raises(NonFiniteValue, match=f"^{block} contains NaN/Inf entries$"):
+        adopt(np.full(v.size, np.nan))
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        lambda g: g,
+        lambda g: np.repeat(g, 2)[::2],  # a strided view
+        lambda g: g.astype(np.float32),
+        lambda g: g.reshape(-1, 1),
+        lambda g: g.tolist(),
+    ],
+)
+def test_checked_grad_flattens_any_layout_to_the_same_contiguous_vector(layout):
+    base = np.array([0.1, -3.0, 2.5e-7])
+
+    class Answer(Objective):
+        n_x, n_y = 3, 0
+
+        def grad_x(self, p):
+            return layout(base)
+
+    g, g_sq = checked_grad(Answer(), BlockPoint(np.zeros(3)), "x")
+    want = np.asarray(layout(base), dtype=np.float64).ravel()
+    assert g.dtype == np.float64 and g.ndim == 1 and g.flags.c_contiguous
+    assert g.tobytes() == want.tobytes()
+    assert g_sq == float(want @ want)
 
 
 @pytest.mark.parametrize("block", ["x", "y"])

@@ -1,9 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bcdcert.errors import (
     InvalidDimensions,
     MissingExactMinimizer,
+    NonFiniteValue,
     SingularSystem,
     UnknownFamily,
 )
@@ -21,6 +27,8 @@ from bcdcert.problems import (
     make_problem,
     random_start,
 )
+from bcdcert.solver import SolverConfig, solve
+from bcdcert.strategies import stationary_y
 
 from conftest import zoo_problem
 
@@ -178,6 +186,84 @@ class TestTwoBlockRosenbrock:
     def test_scale_validation(self):
         with pytest.raises(InvalidDimensions):
             TwoBlockRosenbrock(scale=0.0)
+
+
+def numpy_scalar_rosenbrock(scale, x, y):
+    """The Rosenbrock oracles on numpy float64 scalars, as the reference.
+
+    Returns (value, grad_x, grad_y, exact_min_y) as floats, inf where an
+    intermediate overflows.
+    """
+    x, y = np.float64(x), np.float64(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            float((1.0 - x) ** 2 + scale * (y - x * x) ** 2),
+            float(-2.0 * (1.0 - x) - 4.0 * scale * x * (y - x * x)),
+            float(2.0 * scale * (y - x * x)),
+            float(x ** 2),
+        )
+
+
+def bits(v):
+    return np.float64(v).tobytes()
+
+
+# Beyond about 1.34e154 a square overflows, beyond about 4.5e305 so does
+# 4 * scale * x: the magnitudes run past both edges.
+EDGE = 1.7976931348623157e308
+magnitudes = st.floats(min_value=-EDGE, max_value=EDGE, allow_nan=False)
+
+
+class TestRosenbrockOracleBits:
+    """The float oracles give the bits of the numpy-scalar formulas.
+
+    The first four examples are points where ``d * d`` and ``d ** 2`` round
+    apart for one of the squares (of 1 - x, of y - x^2, or of x near the
+    overflow edge and near the underflow edge), so a square written as a
+    product fails here. The last two square into subnormals and past the
+    overflow edge.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=magnitudes, y=magnitudes, scale=st.sampled_from([1.0, 100.0, 3.7e5]))
+    @example(x=3.2625860333589527, y=10.644467625068906, scale=100.0)
+    @example(x=3.2625860333589527, y=-0.0032524048410331164, scale=100.0)
+    @example(x=4.469232197829273e153, y=0.0, scale=1.0)
+    @example(x=1.6079436544104143e-150, y=0.0, scale=100.0)
+    @example(x=1e-160, y=1e-161, scale=100.0)  # squares below the normal range
+    @example(x=1e200, y=0.0, scale=100.0)
+    def test_match_numpy_scalar_formulas(self, x, y, scale):
+        obj = TwoBlockRosenbrock(scale)
+        p = BlockPoint([x], [y])
+        got = (
+            obj.value(p),
+            obj.grad_x(p).item(),
+            obj.grad_y(p).item(),
+            obj.exact_min_y(p.x).item(),
+        )
+        want = numpy_scalar_rosenbrock(scale, x, y)
+        assert list(map(bits, got)) == list(map(bits, want)), (got, want)
+
+
+def test_rosenbrock_exact_min_y_overflow_is_non_finite_value():
+    # x^2 overflows: a NonFiniteValue from the y block's check, not a bare
+    # OverflowError from the oracle
+    obj = TwoBlockRosenbrock(100.0)
+    with pytest.raises(NonFiniteValue, match="y contains NaN/Inf entries"):
+        stationary_y(obj, BlockPoint([1e200], [0.0]), 1.0, 1e-10, 1e-10)
+
+
+@pytest.mark.parametrize("y_tol", [None, 1e-10])
+def test_rosenbrock_overflow_ends_solve_without_a_warning(y_tol):
+    # y_tol=None asks grad_y first, a given y_tol asks value first
+    obj = TwoBlockRosenbrock(100.0)
+    cfg = SolverConfig(x_strategy="backtracking", y_tol=y_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(obj, BlockPoint([1e200], [0.0]), cfg)
+    assert isinstance(res.error, NonFiniteValue)
+    assert res.iterations == 0
+    assert math.isnan(res.certificate.f0)
 
 
 class TestLipschitzOverride:

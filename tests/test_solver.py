@@ -1,9 +1,10 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
 
-from bcdcert.certificate import History, fold
+from bcdcert.certificate import RAW_FIELDS, History, fold
 from bcdcert.errors import (
     DimensionMismatch,
     MissingLipschitzOracle,
@@ -17,7 +18,14 @@ from bcdcert.problems import (
     TightQuadratic,
     joint_solve_oracle,
 )
-from bcdcert.solver import RunResult, SolverConfig, StopReason, solve, solve_gd_baseline
+from bcdcert.solver import (
+    RunResult,
+    SolverConfig,
+    StopReason,
+    _append_row,
+    solve,
+    solve_gd_baseline,
+)
 
 from conftest import ALL_COMBOS, BreaksAtCall, zoo_problem, zoo_start
 
@@ -377,6 +385,28 @@ def test_baseline_whose_gradient_norm_overflows_ends_on_an_error():
     assert isinstance(res.error, NonFiniteValue)
     assert str(res.error) == "record 0 has non-finite fields"
     assert res.iterations == 0 and res.certificate.invalidated
+
+
+ROW = (3.0, 2.0, 1.5, 4.0, 1e-12, 8.0)
+
+
+@pytest.mark.parametrize("field", ["gx_norm_sq", "gy_residual", "e_t"])
+def test_append_row_refuses_a_non_finite_field(field):
+    # only these three fields can overflow; the row is not appended
+    row = list(ROW)
+    row[RAW_FIELDS.index(field)] = math.inf
+    rows = array("d", ROW)
+    with pytest.raises(NonFiniteValue, match=r"^record 1 has non-finite fields$"):
+        _append_row(rows, 1, tuple(row))
+    assert rows == array("d", ROW)
+
+
+@pytest.mark.parametrize("row", [ROW, (1.0, 1.0, 1.0, 1e308, 1e308, 1e308)])
+def test_append_row_appends_a_finite_row_unchanged(row):
+    # the second row's checked fields are finite though their sum is not
+    rows = array("d", ROW)
+    _append_row(rows, 1, row)
+    assert rows == array("d", ROW + row)
 
 
 def test_baseline_comparison_is_reportable_not_asserted():
