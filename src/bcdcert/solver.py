@@ -11,7 +11,8 @@ point it moved to, and ``stationary_y`` the value and ||grad_y||^2 of the next
 iterate, so per iteration the solver itself only calls grad_x. Each number is
 computed once too: ``checked_grad`` hands back ||grad_x||^2 with the gradient,
 and the solver tests ``grad_tol`` with it, records it and passes it to the
-x-strategy.
+x-strategy. Both blocks' line searches run on ``cfg.backtrack``, and each
+block's accepted estimate is carried into its next search.
 
 An error from any oracle or strategy mid-run does not discard the work: the
 partial history and an invalidated certificate come back on the RunResult
@@ -157,38 +158,45 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     rows = array("d")
     stop = StopReason.MAX_ITERS
     error: BcdcertError | None = None
-    try:
-        y_tol = _resolve_y_tol(obj, start, cfg)
-        # Until the y block is solved, f at the start stands in for f0: it
-        # is what an error result reports, and this one solve's tolerance.
-        f0 = checked_value(obj, start)
-        point, init_residual, f_cur, gy_sq = stationary_y(obj, start, f0, y_tol, check_tol_for(f0))
-        f0 = f_cur
-        check_tol = check_tol_for(f0)
-        params = cfg.backtrack
-        for t in range(cfg.max_iters):
-            gx, gx_sq = checked_grad(obj, point, "x")
-            if math.sqrt(gx_sq + gy_sq) <= cfg.grad_tol:
-                stop = StopReason.GRAD_TOL
-                break
-            if cfg.x_strategy == "fixed_step":
-                upd = fixed_step_gradient_x(obj, point, f_cur, gx, gx_sq, check_tol)
-            elif cfg.x_strategy == "exact_min":
-                upd = exact_min_x(obj, point, f_cur, gx, gx_sq, check_tol)
-            else:
-                # Monotone per-run estimate: the next step starts from the
-                # accepted constant, which moves only after a rejection.
-                upd = backtracking_gradient_x(obj, point, f_cur, gx, gx_sq, check_tol, params)
-                if upd.e_t != params.l_init:
-                    params = dataclasses.replace(params, l_init=upd.e_t)
-            point, residual, f_after_y, gy_sq = stationary_y(
-                obj, upd.point, upd.f_next, y_tol, check_tol
+    # An oracle's numpy overflow is caught where its number enters (a
+    # non-finite answer raises), so numpy's RuntimeWarning would only be noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            y_tol = _resolve_y_tol(obj, start, cfg)
+            # Until the y block is solved, f at the start stands in for f0: it
+            # is what an error result reports, and this one solve's tolerance.
+            f0 = checked_value(obj, start)
+            point, init_residual, f_cur, gy_sq, l_y = stationary_y(
+                obj, start, f0, y_tol, check_tol_for(f0), cfg.backtrack
             )
-            _append_row(rows, t, (f_cur, upd.f_next, f_after_y, gx_sq, residual, upd.e_t))
-            f_cur = f_after_y
-    except BcdcertError as err:
-        error = err
-        stop = StopReason.ERROR
+            f0 = f_cur
+            check_tol = check_tol_for(f0)
+            # Monotone per-run estimates, one per block: each search starts from
+            # the constant its block last accepted, which moves only after a rejection.
+            x_params, y_params = cfg.backtrack, dataclasses.replace(cfg.backtrack, l_init=l_y)
+            for t in range(cfg.max_iters):
+                gx, gx_sq = checked_grad(obj, point, "x")
+                if math.sqrt(gx_sq + gy_sq) <= cfg.grad_tol:
+                    stop = StopReason.GRAD_TOL
+                    break
+                if cfg.x_strategy == "fixed_step":
+                    upd = fixed_step_gradient_x(obj, point, f_cur, gx, gx_sq, check_tol)
+                elif cfg.x_strategy == "exact_min":
+                    upd = exact_min_x(obj, point, f_cur, gx, gx_sq, check_tol)
+                else:
+                    upd = backtracking_gradient_x(obj, point, f_cur, gx, gx_sq, check_tol, x_params)
+                    if upd.e_t != x_params.l_init:
+                        x_params = dataclasses.replace(x_params, l_init=upd.e_t)
+                point, residual, f_after_y, gy_sq, l_y = stationary_y(
+                    obj, upd.point, upd.f_next, y_tol, check_tol, y_params
+                )
+                if l_y != y_params.l_init:
+                    y_params = dataclasses.replace(y_params, l_init=l_y)
+                _append_row(rows, t, (f_cur, upd.f_next, f_after_y, gx_sq, residual, upd.e_t))
+                f_cur = f_after_y
+        except BcdcertError as err:
+            error = err
+            stop = StopReason.ERROR
     return _result(rows, f0, point, stop, error, t_start, y_tol, init_residual)
 
 
@@ -215,16 +223,18 @@ def solve_gd_baseline(
     rows = array("d")
     stop = StopReason.MAX_ITERS
     error: BcdcertError | None = None
-    try:
-        f_cur, gx, gy = evaluate(obj, point)
-        f0 = f_cur
-        for t in range(max_iters):
-            nxt = full_gradient_step(point, gx, gy, step)
-            f_next, gx_next, gy_next = evaluate(obj, nxt)
-            _append_row(rows, t, (f_cur, f_next, f_next, float(gx @ gx) + float(gy @ gy),
-                                  float(np.linalg.norm(gy)), e_t))
-            point, f_cur, gx, gy = nxt, f_next, gx_next, gy_next
-    except BcdcertError as err:
-        error = err
-        stop = StopReason.ERROR
+    # as in solve: one guard per call, not per oracle call
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            f_cur, gx, gy = evaluate(obj, point)
+            f0 = f_cur
+            for t in range(max_iters):
+                nxt = full_gradient_step(point, gx, gy, step)
+                f_next, gx_next, gy_next = evaluate(obj, nxt)
+                _append_row(rows, t, (f_cur, f_next, f_next, float(gx @ gx) + float(gy @ gy),
+                                      float(np.linalg.norm(gy)), e_t))
+                point, f_cur, gx, gy = nxt, f_next, gx_next, gy_next
+        except BcdcertError as err:
+            error = err
+            stop = StopReason.ERROR
     return _result(rows, f0, point, stop, error, t_start, math.nan)

@@ -12,13 +12,17 @@ for the step it just took, within the run's tolerance ``tol`` (see
 the one the certificate applies, so a step a strategy accepts is a step the
 certificate certifies. ``stationary_y`` likewise takes ``f(p)`` and
 returns the value and ``||grad_y||^2`` at the point it lands on, so no number
-the solver needs is computed twice. A strategy that cannot honor its own
-certificate raises (never silently repairs): a violated guarantee means the
-caller's oracle is wrong, and that is a bug to surface.
+the solver needs is computed twice. ``backtracking`` on x and a y block
+without ``exact_min_y`` share one line search on the run's ``BacktrackParams``
+and hand back the estimate it accepted, which the caller carries forward. A
+strategy that cannot honor its own certificate raises (never silently
+repairs): a violated guarantee means the caller's oracle is wrong, and that
+is a bug to surface.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -118,23 +122,19 @@ def exact_min_x(
     return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
-def backtracking_gradient_x(
-    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, g_sq: float, tol: float,
-    params: BacktrackParams,
-) -> XUpdateResult:
-    """Grow a Lipschitz estimate until the trial step certifies the condition.
+def _line_search(obj, p, block, f, g, g_sq, tol, params):
+    """The backtracking line search of both blocks.
 
-    Tries x - (1/L̂) grad_x for L̂ in {l_init * growth^k} and accepts the first
-    trial with f(x,y) - f(x',y) >= ||grad_x||^2 / (2 L̂) - tol; e_t is the accepted
-    estimate. A non-finite trial value counts as a rejection (the step
-    overshot the finite domain; growing L̂ recovers).
+    Moves ``block`` ("x" or "y") of ``p`` from v to v - g / L̂, ``g`` its
+    gradient at ``p``, for L̂ in {l_init * growth^k}, and returns ``(trial,
+    f_trial, L̂, trials)`` for the first trial with f - f(trial) >=
+    g_sq / (2 L̂) - tol. A non-finite trial value counts as a rejection (the
+    step overshot the finite domain; growing L̂ recovers).
     """
-    if g_sq == 0.0:
-        return XUpdateResult(p, f, params.l_init, 0)
-
+    adopt, v = (p._adopt_x, p.x) if block == "x" else (p._adopt_y, p.y)
     l_hat = params.l_init
     for trials in range(1, params.max_rejects + 2):
-        trial = p._adopt_x(p.x - gx / l_hat)
+        trial = adopt(v - g / l_hat)
         try:
             f_try = checked_value(obj, trial)
         except NonFiniteValue:
@@ -143,7 +143,7 @@ def backtracking_gradient_x(
         # the roundoff of the f subtraction, an exact test would reject
         # every estimate and exhaust.
         if sufficient_decrease(f, f_try, g_sq, l_hat, tol):
-            return XUpdateResult(trial, f_try, l_hat, trials)
+            return trial, f_try, l_hat, trials
         l_hat *= params.growth
     raise BacktrackExhausted(
         f"no acceptable step after {params.max_rejects} rejections "
@@ -151,53 +151,36 @@ def backtracking_gradient_x(
     )
 
 
-def _inner_descent_y(obj, p, f, y_tol, tol):
-    """Fallback when no exact y minimizer exists: certified descent on y alone.
-
-    Starts from ``p`` with ``f = f(p)``; returns (point, residual, f,
-    ||grad_y||^2) at the first point whose residual is within y_tol. Steps are accepted
-    with the x-strategies' decrease test and tolerance ``tol``.
-    """
-    point = p
-    l_hat = 1.0
-    for _ in range(_INNER_CAP):
-        gy, g_sq = checked_grad(obj, point, "y")
-        res = math.sqrt(g_sq)
-        if res <= y_tol:
-            return point, res, f, g_sq
-        for _ in range(200):
-            trial = point._adopt_y(point.y - gy / l_hat)
-            try:
-                f_try = checked_value(obj, trial)
-            except NonFiniteValue:
-                f_try = math.inf  # fails the test below: a rejection
-            # tol matters here: near stationarity the true decrease is
-            # ~||gy||^2/l, far below the roundoff of the f subtraction.
-            if sufficient_decrease(f, f_try, g_sq, l_hat, tol):
-                point, f = trial, f_try
-                break
-            l_hat *= 2.0
-        else:
-            raise InnerSolveFailed("inner y-descent line search exhausted")
-    raise InnerSolveFailed(f"y residual above {y_tol:.3g} after {_INNER_CAP} inner steps")
+def backtracking_gradient_x(
+    obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, g_sq: float, tol: float,
+    params: BacktrackParams,
+) -> XUpdateResult:
+    """The x call of ``_line_search``: e_t is the estimate it accepts."""
+    if g_sq == 0.0:
+        return XUpdateResult(p, f, params.l_init, 0)
+    return XUpdateResult(*_line_search(obj, p, "x", f, gx, g_sq, tol, params))
 
 
-def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, tol: float):
+def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, tol: float,
+                 params: BacktrackParams):
     """Drive the y block to (numerical) stationarity at fixed x.
 
     ``f_before`` is f(p). Uses the exact minimizer when the objective
-    provides one, otherwise an inner certified-descent loop, until
-    ||grad_y|| <= y_tol. Returns (point, residual, f_after, gy_sq) at the
-    new point, where gy_sq is ||grad_y||^2 and residual its square root; the
-    residual is recorded rather than hidden so the certificate can expose
-    inexact solves. Never increases f by more than ``tol``, the
-    certificate's allowance for the y-step.
+    provides one, otherwise y calls of ``_line_search`` on the schedule
+    ``params``, until ||grad_y|| <= y_tol. Returns (point, residual, f_after,
+    gy_sq, l_hat) at the new point, where gy_sq is ||grad_y||^2, residual its
+    square root and l_hat the last accepted y estimate (``params.l_init`` if
+    none), for the caller to carry into the next solve. The residual is
+    recorded rather than hidden so the certificate can expose inexact
+    solves. Never increases f by more than ``tol``, the certificate's
+    allowance for the y-step.
     """
     if not y_tol > 0:
         raise ValueError("y_tol must be positive")
     obj.check_point(p)
+    l_hat = params.l_init
     if obj.n_y == 0:
-        return p, 0.0, f_before, 0.0
+        return p, 0.0, f_before, 0.0, l_hat
 
     y_exact = obj.exact_min_y(p.x)
     if y_exact is not None:
@@ -206,18 +189,24 @@ def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, t
         _, gy_sq = checked_grad(obj, point, "y")
         residual = math.sqrt(gy_sq)
         if residual > y_tol:
-            raise InnerSolveFailed(
-                f"exact_min_y left residual {residual:.3g} > y_tol {y_tol:.3g}"
-            )
+            raise InnerSolveFailed(f"exact_min_y left residual {residual:.3g} > y_tol {y_tol:.3g}")
         f_after = checked_value(obj, point)
     else:
-        point, residual, f_after, gy_sq = _inner_descent_y(obj, p, f_before, y_tol, tol)
+        point, f_after = p, f_before
+        for _ in range(_INNER_CAP):
+            gy, gy_sq = checked_grad(obj, point, "y")
+            residual = math.sqrt(gy_sq)
+            if residual <= y_tol:
+                break
+            point, f_after, l_hat, _ = _line_search(obj, point, "y", f_after, gy, gy_sq, tol, params)
+            if l_hat != params.l_init:
+                params = dataclasses.replace(params, l_init=l_hat)
+        else:
+            raise InnerSolveFailed(f"y residual above {y_tol:.3g} after {_INNER_CAP} inner steps")
 
     if f_after > f_before + tol:
-        raise InnerSolveFailed(
-            f"y update increased f from {f_before:.6g} to {f_after:.6g}"
-        )
-    return point, residual, f_after, gy_sq
+        raise InnerSolveFailed(f"y update increased f from {f_before:.6g} to {f_after:.6g}")
+    return point, residual, f_after, gy_sq, l_hat
 
 
 def full_gradient_step(p: BlockPoint, gx: np.ndarray, gy: np.ndarray, step: float) -> BlockPoint:

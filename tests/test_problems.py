@@ -28,7 +28,7 @@ from bcdcert.problems import (
     random_start,
 )
 from bcdcert.solver import SolverConfig, solve
-from bcdcert.strategies import stationary_y
+from bcdcert.strategies import BacktrackParams, stationary_y
 
 from conftest import zoo_problem
 
@@ -250,7 +250,7 @@ def test_rosenbrock_exact_min_y_overflow_is_non_finite_value():
     # OverflowError from the oracle
     obj = TwoBlockRosenbrock(100.0)
     with pytest.raises(NonFiniteValue, match="y contains NaN/Inf entries"):
-        stationary_y(obj, BlockPoint([1e200], [0.0]), 1.0, 1e-10, 1e-10)
+        stationary_y(obj, BlockPoint([1e200], [0.0]), 1.0, 1e-10, 1e-10, BacktrackParams())
 
 
 @pytest.mark.parametrize("y_tol", [None, 1e-10])

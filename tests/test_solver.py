@@ -233,7 +233,7 @@ def test_non_finite_start_value_is_an_error_result():
 
 
 class _NoExactY(BreaksAtCall):
-    """Hides ``exact_min_y``, so the y block is solved by inner descent."""
+    """Hides ``exact_min_y``, so the y block is solved by the y line search."""
 
     def exact_min_y(self, x):
         return None
@@ -265,8 +265,7 @@ def test_nan_grad_y_at_the_start_is_an_error_result():
 def test_overflowing_start_gradient_norm_falls_back_to_unit_scale():
     base = zoo_problem("coupled_quadratic", seed=3)
     obj = _HugeStartGradY(base)
-    with np.errstate(over="ignore"):  # the norm overflowing is the point
-        res = solve(obj, zoo_start(base, 3), SolverConfig(max_iters=5))
+    res = solve(obj, zoo_start(base, 3), SolverConfig(max_iters=5))
     assert res.y_tol == 1e-10
     assert res.error is None
 
@@ -277,7 +276,7 @@ def test_overflowing_start_gradient_norm_falls_back_to_unit_scale():
         ("fixed_step", True, 1),  # f at the start point
         ("fixed_step", True, 2),  # f after the initial y-solve
         ("backtracking", True, 3),  # the first backtracking trial
-        ("fixed_step", False, 2),  # the first inner y-descent trial
+        ("fixed_step", False, 2),  # the first y line-search trial
     ],
     ids=["start", "after-y-solve", "backtrack-trial", "inner-descent-trial"],
 )
@@ -368,8 +367,7 @@ def test_baseline_diverges_with_a_block_only_step():
     # step sized for the x block alone (1/lambda_max(A) = 1) is far beyond
     # 2/lambda_max(H) when C has eigenvalues near 100
     obj = CoupledQuadratic(np.eye(2), np.zeros((2, 2)), 100.0 * np.eye(2))
-    with np.errstate(over="ignore"):  # the blow-up itself is the point
-        res = solve_gd_baseline(obj, BlockPoint([1.0, 1.0], [1.0, 1.0]), 1.0, 200)
+    res = solve_gd_baseline(obj, BlockPoint([1.0, 1.0], [1.0, 1.0]), 1.0, 200)
     assert res.stop_reason is StopReason.ERROR
     assert isinstance(res.error, NonFiniteValue)
     assert res.certificate.invalidated
@@ -379,11 +377,30 @@ def test_baseline_whose_gradient_norm_overflows_ends_on_an_error():
     # ||grad||^2 = 1e400 is not a number a record can hold; the run returns
     # with stop_reason = ERROR instead of raising check_record's ValueError
     obj = TightQuadratic(4.0, [1.0], [1e200])
-    with np.errstate(over="ignore"):
-        res = solve_gd_baseline(obj, BlockPoint([1.0], []), 1e-300, 3)
+    res = solve_gd_baseline(obj, BlockPoint([1.0], []), 1e-300, 3)
     assert res.stop_reason is StopReason.ERROR
     assert isinstance(res.error, NonFiniteValue)
     assert str(res.error) == "record 0 has non-finite fields"
+    assert res.iterations == 0 and res.certificate.invalidated
+
+
+@pytest.mark.parametrize("mode", ["fixed_step", "backtracking", "baseline"])
+@pytest.mark.parametrize("big", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("family", ["tight_quadratic", "coupled_quadratic", "matrix_factorization"])
+def test_numpy_overflow_in_an_oracle_is_an_error_result_not_a_warning(family, big, mode):
+    # these oracles compute on numpy arrays, which warn on overflow; the
+    # solver turns the inf or NaN into NonFiniteValue, and nothing else
+    # reaches the caller (the test run makes any RuntimeWarning an error)
+    obj = zoo_problem(family, seed=0)
+    start = BlockPoint(np.full(obj.n_x, big), np.full(obj.n_y, big))
+    before = np.geterr()
+    if mode == "baseline":
+        res = solve_gd_baseline(obj, start, 1e-3, 5)
+    else:
+        res = solve(obj, start, SolverConfig(x_strategy=mode, max_iters=5))
+    assert np.geterr() == before
+    assert res.stop_reason is StopReason.ERROR
+    assert isinstance(res.error, NonFiniteValue)
     assert res.iterations == 0 and res.certificate.invalidated
 
 

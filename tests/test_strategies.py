@@ -363,25 +363,27 @@ def test_stationary_y_exact_path():
     rng = np.random.default_rng(5)
     p = BlockPoint(rng.standard_normal(obj.n_x), rng.standard_normal(obj.n_y))
     f = obj.value(p)
-    q, res, f_after, gy_sq = stationary_y(obj, p, f, 1e-10, check_tol_for(f))
+    q, res, f_after, gy_sq, l_hat = stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams())
     assert res <= 1e-10
     np.testing.assert_array_equal(q.x, p.x)
     assert np.linalg.norm(obj.grad_y(q)) == res
     assert gy_sq == float(obj.grad_y(q) @ obj.grad_y(q)) and math.sqrt(gy_sq) == res
     assert f_after == obj.value(q)
     assert obj.value(q) <= obj.value(p)
+    assert l_hat == BacktrackParams().l_init  # nothing was searched
 
 
 def test_stationary_y_empty_block():
     obj, p = tight(), BlockPoint([3.0])
     f = obj.value(p)
-    q, res, f_after, gy_sq = stationary_y(obj, p, f, 1e-10, check_tol_for(f))
+    q, res, f_after, gy_sq, l_hat = stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams())
     assert q.y.shape == (0,) and res == 0.0
     assert q == p and f_after == obj.value(p) and gy_sq == 0.0
+    assert l_hat == BacktrackParams().l_init
 
 
 class _HiddenMinimizer(CoupledQuadratic):
-    """Same quadratic, exact_min_y withheld, forcing the inner descent."""
+    """Same quadratic, exact_min_y withheld, forcing the y line search."""
 
     def exact_min_y(self, x):
         return None
@@ -392,12 +394,13 @@ def test_stationary_y_inner_descent_fallback():
     obj = _HiddenMinimizer(base.A, base.B, base.C, base.a, base.c)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
     f = obj.value(p)
-    q, res, f_after, gy_sq = stationary_y(obj, p, f, 1e-8, check_tol_for(f))
+    q, res, f_after, gy_sq, l_hat = stationary_y(obj, p, f, 1e-8, check_tol_for(f), BacktrackParams())
     assert res <= 1e-8
     assert np.linalg.norm(obj.grad_y(q)) == res
     assert f_after == obj.value(q)
     assert gy_sq == float(obj.grad_y(q) @ obj.grad_y(q)) and math.sqrt(gy_sq) == res
     assert obj.value(q) <= obj.value(p)
+    assert l_hat == 2.0 ** round(math.log2(l_hat)) >= BacktrackParams().l_init  # doubled from 1
 
 
 class _WrongMinimizer(CoupledQuadratic):
@@ -411,7 +414,7 @@ def test_stationary_y_rejects_a_wrong_exact_minimizer():
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
     f = obj.value(p)
     with pytest.raises(InnerSolveFailed):
-        stationary_y(obj, p, f, 1e-10, check_tol_for(f))
+        stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams())
 
 
 @pytest.mark.parametrize("short,accepted", [(0.5, True), (2.0, False)], ids=["within", "beyond"])
@@ -425,15 +428,15 @@ def test_stationary_y_allows_the_rise_the_step_check_allows(short, accepted):
     f_before = obj.value(p) - short * tol
     assert _step_check(f_before, f_before, obj.value(p), 0.0, 1.0, tol) is accepted
     if accepted:
-        assert stationary_y(obj, p, f_before, 1e-8, tol)[2] == obj.value(p)
+        assert stationary_y(obj, p, f_before, 1e-8, tol, BacktrackParams())[2] == obj.value(p)
     else:
         with pytest.raises(InnerSolveFailed):
-            stationary_y(obj, p, f_before, 1e-8, tol)
+            stationary_y(obj, p, f_before, 1e-8, tol, BacktrackParams())
 
 
 def test_stationary_y_tol_validation():
     with pytest.raises(ValueError):
-        stationary_y(tight(), BlockPoint([1.0]), 0.0, 0.0, 1e-10)
+        stationary_y(tight(), BlockPoint([1.0]), 0.0, 0.0, 1e-10, BacktrackParams())
 
 
 class _NaNMinimizer(CoupledQuadratic):
@@ -447,7 +450,7 @@ def test_stationary_y_rejects_non_finite_minimizer():
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
     f = obj.value(p)
     with pytest.raises(NonFiniteValue):
-        stationary_y(obj, p, f, 1e-10, check_tol_for(f))
+        stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams())
 
 
 class _NaNGradY(CoupledQuadratic):
@@ -461,7 +464,7 @@ def test_stationary_y_rejects_non_finite_grad_y():
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
     f = obj.value(p)
     with pytest.raises(NonFiniteValue):
-        stationary_y(obj, p, f, 1e-10, check_tol_for(f))
+        stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams())
 
 
 # --- baseline step ----------------------------------------------------------

@@ -3,7 +3,7 @@
 ``as_vector`` copies a block and tests it for NaN/Inf with its squared norm
 (scanning entry by entry only when that norm is not finite). ``solve`` validates
 each new block once: the x block of every x-trial (accepted or rejected) and
-the y block the y-solve lands on, or of every inner-descent trial when the
+the y block the y-solve lands on, or of every y line-search trial when the
 objective has no exact y minimizer. The block a step leaves alone is shared
 with the point before, never validated again. So there is one validation per
 new trial point, and each trial point is valued once.
@@ -27,7 +27,7 @@ PER_ITERATION = 2
 
 
 class NoExactY(CountingObjective):
-    """Hides ``exact_min_y``, so ``stationary_y`` takes the inner-descent path."""
+    """Hides ``exact_min_y``, so ``stationary_y`` runs the y line search."""
 
     def exact_min_y(self, x):
         self.log.append("exact_min_y")
