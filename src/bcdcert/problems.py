@@ -73,6 +73,15 @@ class TightQuadratic(Objective):
         return float(self.c_const - (g @ g) / (2.0 * self.l_const))
 
 
+def _positive_definite(M: np.ndarray) -> bool:
+    """Whether the symmetric ``M`` has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class CoupledQuadratic(Objective):
     """f = 0.5 x'Ax + x'By + 0.5 y'Cy + a.x + c.y with A PSD, C PD.
 
@@ -93,12 +102,12 @@ class CoupledQuadratic(Objective):
             raise InvalidDimensions("linear terms do not match block sizes")
         if not (np.allclose(self.A, self.A.T) and np.allclose(self.C, self.C.T)):
             raise InvalidDimensions("A and C must be symmetric")
-        try:
-            np.linalg.cholesky(self.C)
-        except np.linalg.LinAlgError:
-            raise InvalidDimensions("C must be positive definite") from None
+        if not _positive_definite(self.C):
+            raise InvalidDimensions("C must be positive definite")
         self.n_x, self.n_y = n_x, n_y
         self._lip_x = float(np.linalg.eigvalsh(self.A)[-1])
+        # decided once: the instance is immutable, and exact_min_x needs it per call
+        self._a_pd = _positive_definite(self.A)
 
     def value(self, p: BlockPoint) -> float:
         x, y = p.x, p.y
@@ -120,10 +129,8 @@ class CoupledQuadratic(Objective):
         return np.linalg.solve(self.C, -(self.B.T @ x + self.c))
 
     def exact_min_x(self, y):
-        try:
-            np.linalg.cholesky(self.A)
-        except np.linalg.LinAlgError:
-            raise MissingExactMinimizer("A is not positive definite") from None
+        if not self._a_pd:
+            raise MissingExactMinimizer("A is not positive definite")
         return np.linalg.solve(self.A, -(self.B @ y + self.a))
 
     def lipschitz_x(self, y):

@@ -11,7 +11,8 @@ point it moved to, and ``stationary_y`` the value and ||grad_y||^2 of the next
 iterate, so per iteration the solver itself only calls grad_x. Each number is
 computed once too: ``checked_grad`` hands back ||grad_x||^2 with the gradient,
 and the solver tests ``grad_tol`` with it, records it and passes it to the
-x-strategy. Both blocks' line searches run on ``cfg.backtrack``, and each
+x-strategy. Both blocks' line searches run on ``cfg.backtrack``: each
+block's first search of the run may calibrate below ``l_init``, and each
 block's accepted estimate is carried into its next search.
 
 An error from any oracle or strategy mid-run does not discard the work: the
@@ -167,12 +168,13 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             # is what an error result reports, and this one solve's tolerance.
             f0 = checked_value(obj, start)
             point, init_residual, f_cur, gy_sq, l_y = stationary_y(
-                obj, start, f0, y_tol, check_tol_for(f0), cfg.backtrack
+                obj, start, f0, y_tol, check_tol_for(f0), cfg.backtrack, first=True
             )
             f0 = f_cur
             check_tol = check_tol_for(f0)
-            # Monotone per-run estimates, one per block: each search starts from
-            # the constant its block last accepted, which moves only after a rejection.
+            # One estimate per block: its first search (in the y-solve above, at t = 0 for
+            # x) may calibrate below l_init; every later one starts from the
+            # constant its block last accepted, which moves only after a rejection.
             x_params, y_params = cfg.backtrack, dataclasses.replace(cfg.backtrack, l_init=l_y)
             for t in range(cfg.max_iters):
                 gx, gx_sq = checked_grad(obj, point, "x")
@@ -184,7 +186,9 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
                 elif cfg.x_strategy == "exact_min":
                     upd = exact_min_x(obj, point, f_cur, gx, gx_sq, check_tol)
                 else:
-                    upd = backtracking_gradient_x(obj, point, f_cur, gx, gx_sq, check_tol, x_params)
+                    upd = backtracking_gradient_x(
+                        obj, point, f_cur, gx, gx_sq, check_tol, x_params, first=t == 0
+                    )
                     if upd.e_t != x_params.l_init:
                         x_params = dataclasses.replace(x_params, l_init=upd.e_t)
                 point, residual, f_after_y, gy_sq, l_y = stationary_y(

@@ -14,7 +14,8 @@ certificate certifies. ``stationary_y`` likewise takes ``f(p)`` and
 returns the value and ``||grad_y||^2`` at the point it lands on, so no number
 the solver needs is computed twice. ``backtracking`` on x and a y block
 without ``exact_min_y`` share one line search on the run's ``BacktrackParams``
-and hand back the estimate it accepted, which the caller carries forward. A
+and hand back the estimate it accepted, which the caller carries forward;
+each block's first search of a run may calibrate below ``l_init``. A
 strategy that cannot honor its own certificate raises (never silently
 repairs): a violated guarantee means the caller's oracle is wrong, and that
 is a bug to surface.
@@ -59,7 +60,13 @@ class XUpdateResult:
 
 @dataclass(frozen=True)
 class BacktrackParams:
-    """Doubling schedule for an unknown block Lipschitz constant."""
+    """Doubling schedule for an unknown block Lipschitz constant.
+
+    ``l_init`` is the starting guess of each block's first search, which may
+    calibrate below it (see ``_line_search``); later searches start from the
+    estimate their block last accepted and only grow it, by ``growth`` per
+    rejected trial, up to ``max_rejects`` rejections.
+    """
 
     l_init: float = 1.0
     growth: float = 2.0
@@ -122,7 +129,7 @@ def exact_min_x(
     return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
-def _line_search(obj, p, block, f, g, g_sq, tol, params):
+def _line_search(obj, p, block, f, g, g_sq, tol, params, first=False):
     """The backtracking line search of both blocks.
 
     Moves ``block`` ("x" or "y") of ``p`` from v to v - g / L̂, ``g`` its
@@ -130,10 +137,17 @@ def _line_search(obj, p, block, f, g, g_sq, tol, params):
     f_trial, L̂, trials)`` for the first trial with f - f(trial) >=
     g_sq / (2 L̂) - tol. A non-finite trial value counts as a rejection (the
     step overshot the finite domain; growing L̂ recovers).
+
+    ``first`` marks the block's first search of the run, where ``l_init`` is
+    only a guess. If the trial at ``l_init`` passes on its first try, and not
+    only through ``tol`` (g_sq / (2 l_init) > tol), the search calibrates
+    down: it tries l_init / growth^k for k = 1, 2, ... while the same test
+    passes, within ``max_rejects + 1`` trials in all, and returns the
+    smallest estimate that passed. Every other search only grows L̂.
     """
     adopt, v = (p._adopt_x, p.x) if block == "x" else (p._adopt_y, p.y)
-    l_hat = params.l_init
-    for trials in range(1, params.max_rejects + 2):
+
+    def attempt(l_hat):
         trial = adopt(v - g / l_hat)
         try:
             f_try = checked_value(obj, trial)
@@ -142,38 +156,57 @@ def _line_search(obj, p, block, f, g, g_sq, tol, params):
         # tol keeps tiny gradients workable: once ||g||^2/(2L) falls under
         # the roundoff of the f subtraction, an exact test would reject
         # every estimate and exhaust.
-        if sufficient_decrease(f, f_try, g_sq, l_hat, tol):
-            return trial, f_try, l_hat, trials
+        return trial, f_try, sufficient_decrease(f, f_try, g_sq, l_hat, tol)
+
+    l_hat = params.l_init
+    for trials in range(1, params.max_rejects + 2):
+        trial, f_try, passed = attempt(l_hat)
+        if passed:
+            break
         l_hat *= params.growth
-    raise BacktrackExhausted(
-        f"no acceptable step after {params.max_rejects} rejections "
-        f"(last estimate {l_hat:.3g}); bad l_init or non-Lipschitz region"
-    )
+    else:
+        raise BacktrackExhausted(
+            f"no acceptable step after {params.max_rejects} rejections "
+            f"(last estimate {l_hat:.3g}); bad l_init or non-Lipschitz region"
+        )
+    if first and trials == 1 and g_sq / (2.0 * l_hat) > tol:
+        for trials in range(2, params.max_rejects + 2):
+            lower = l_hat / params.growth
+            lower_trial, f_lower, passed = attempt(lower)
+            if not passed:
+                break
+            trial, f_try, l_hat = lower_trial, f_lower, lower
+    return trial, f_try, l_hat, trials
 
 
 def backtracking_gradient_x(
     obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, g_sq: float, tol: float,
-    params: BacktrackParams,
+    params: BacktrackParams, first: bool = False,
 ) -> XUpdateResult:
-    """The x call of ``_line_search``: e_t is the estimate it accepts."""
+    """The x call of ``_line_search``: e_t is the estimate it accepts.
+
+    ``first`` marks the run's first x-step, whose search may calibrate
+    below ``params.l_init``.
+    """
     if g_sq == 0.0:
         return XUpdateResult(p, f, params.l_init, 0)
-    return XUpdateResult(*_line_search(obj, p, "x", f, gx, g_sq, tol, params))
+    return XUpdateResult(*_line_search(obj, p, "x", f, gx, g_sq, tol, params, first))
 
 
 def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, tol: float,
-                 params: BacktrackParams):
+                 params: BacktrackParams, first: bool = False):
     """Drive the y block to (numerical) stationarity at fixed x.
 
     ``f_before`` is f(p). Uses the exact minimizer when the objective
     provides one, otherwise y calls of ``_line_search`` on the schedule
-    ``params``, until ||grad_y|| <= y_tol. Returns (point, residual, f_after,
-    gy_sq, l_hat) at the new point, where gy_sq is ||grad_y||^2, residual its
-    square root and l_hat the last accepted y estimate (``params.l_init`` if
-    none), for the caller to carry into the next solve. The residual is
-    recorded rather than hidden so the certificate can expose inexact
-    solves. Never increases f by more than ``tol``, the certificate's
-    allowance for the y-step.
+    ``params``, until ||grad_y|| <= y_tol; ``first`` marks the run's first
+    y-solve, whose first search may calibrate below ``params.l_init``.
+    Returns (point, residual, f_after, gy_sq, l_hat) at the new point, where
+    gy_sq is ||grad_y||^2, residual its square root and l_hat the last
+    accepted y estimate (``params.l_init`` if none), for the caller to carry
+    into the next solve. The residual is recorded rather than hidden so the
+    certificate can expose inexact solves. Never increases f by more than
+    ``tol``, the certificate's allowance for the y-step.
     """
     if not y_tol > 0:
         raise ValueError("y_tol must be positive")
@@ -198,7 +231,10 @@ def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, t
             residual = math.sqrt(gy_sq)
             if residual <= y_tol:
                 break
-            point, f_after, l_hat, _ = _line_search(obj, point, "y", f_after, gy, gy_sq, tol, params)
+            point, f_after, l_hat, _ = _line_search(
+                obj, point, "y", f_after, gy, gy_sq, tol, params, first
+            )
+            first = False
             if l_hat != params.l_init:
                 params = dataclasses.replace(params, l_init=l_hat)
         else:

@@ -3,7 +3,8 @@
 A counting wrapper logs every oracle call in order. ``solve`` calls grad_x
 exactly once per iterate, so the log splits at each grad_x into a setup
 segment and one segment per iteration (plus a lone grad_x when the run stops
-on grad_tol). Each segment must hold exactly the calls pinned below.
+on grad_tol). Each segment must hold exactly the calls pinned below, and
+each solve all the calls pinned in ``TOTAL_CALLS``.
 
 The pin may only ever be lowered; every change to it is logged in CHANGES.md.
 """
@@ -23,7 +24,8 @@ from conftest import ALL_COMBOS, zoo_problem, zoo_start
 SETUP = {"grad_y": 2, "value": 2, "exact_min_y": 1}
 
 # Per iteration. "value" counts the accepted x-trial and f after the y-solve;
-# each rejected backtracking trial adds one more. The y-solve calls
+# each other backtracking trial adds one more: the rejected ones, and on the
+# first step those below l_init (see ``extra_trials``). The y-solve calls
 # (exact_min_y, grad_y, one value) drop out for an empty y block.
 PER_ITERATION = {
     "grad_x": 1,
@@ -38,6 +40,20 @@ PER_ITERATION_BY_STRATEGY = {
 }
 
 SEEDS = range(3)
+
+# All oracle calls of each solve below, one entry per seed.
+TOTAL_CALLS = {
+    ("tight_quadratic", "fixed_step"): (6, 6, 6),
+    ("tight_quadratic", "exact_min"): (7, 7, 7),
+    ("tight_quadratic", "backtracking"): (7, 7, 7),
+    ("coupled_quadratic", "fixed_step"): (258, 222, 270),
+    ("coupled_quadratic", "exact_min"): (83, 111, 90),
+    ("coupled_quadratic", "backtracking"): (334, 123, 374),
+    ("matrix_factorization", "fixed_step"): (1205, 306, 1205),
+    ("matrix_factorization", "exact_min"): (76, 104, 153),
+    ("matrix_factorization", "backtracking"): (1007, 337, 1007),
+    ("two_block_rosenbrock", "backtracking"): (1014, 1015, 1014),
+}
 
 
 class CountingObjective(Objective):
@@ -92,12 +108,23 @@ def without_empty_y_block(counts, n_y):
     return {k: v - drop.get(k, 0) for k, v in counts.items() if v - drop.get(k, 0)}
 
 
-def rejected_trials(history, l_init):
-    """Rejections per backtracking step, read off the doubling of the carried estimate."""
-    rejects, prev = [], l_init
-    for rec in history:
-        k = round(math.log2(rec.e_t / prev))
-        assert prev * 2.0**k == rec.e_t, "estimate did not move by a power of the growth"
+def extra_trials(res, params):
+    """Trials beyond the accepted one per backtracking step, read off the carried estimate.
+
+    A step that moves the estimate up by growth^k made k rejected trials
+    first. The first step may also calibrate down: e_0 = l_init * growth^-k
+    took k + 2 trials (its first, k accepted lower ones and one rejected),
+    or k + 1 when that reaches max_rejects + 1 trials. It tries lower only
+    when its first trial passed and not only through the tolerance, so an
+    e_0 of l_init costs one extra (rejected) trial then and none otherwise.
+    """
+    rejects, prev = [], params.l_init
+    for t, rec in enumerate(res.history):
+        k = round(math.log(rec.e_t / prev, params.growth))
+        assert prev * params.growth**k == rec.e_t, "estimate did not move by a power of the growth"
+        if t == 0 and k <= 0:
+            if k < 0 or rec.gx_norm_sq / (2.0 * prev) > res.check_tol:
+                k = -k + (-k < params.max_rejects)
         rejects.append(k)
         prev = rec.e_t
     return rejects
@@ -122,7 +149,7 @@ def test_oracle_calls_per_iteration_are_pinned(family, strategy, seed):
 
     per_step = {**PER_ITERATION, **PER_ITERATION_BY_STRATEGY[strategy]}
     rejects = (
-        rejected_trials(res.history, cfg.backtrack.l_init)
+        extra_trials(res, cfg.backtrack)
         if strategy == "backtracking"
         else [0] * res.iterations
     )
@@ -130,6 +157,7 @@ def test_oracle_calls_per_iteration_are_pinned(family, strategy, seed):
         want = dict(without_empty_y_block(per_step, inner.n_y))
         want["value"] += extra
         assert got == Counter(want), f"iteration {t}"
+    assert len(obj.log) == TOTAL_CALLS[family, strategy][seed]
 
 
 @pytest.mark.parametrize("family", ["coupled_quadratic", "matrix_factorization"])

@@ -17,12 +17,13 @@ import bcdcert.problem as problem
 from bcdcert.solver import SolverConfig, StopReason, solve
 
 from conftest import ALL_COMBOS, zoo_problem, zoo_start
-from test_oracle_counts import SEEDS, CountingObjective, rejected_trials, split_at_grad_x
+from test_oracle_counts import SEEDS, CountingObjective, extra_trials, split_at_grad_x
 
 # Before the first iterate: the y block of the initial y-solve's result.
 SETUP = 1
-# Per iteration: the accepted x-trial and the y-solve's result; each rejected
-# backtracking trial adds one more. An empty y block drops the y-solve's.
+# Per iteration: the accepted x-trial and the y-solve's result; each other
+# backtracking trial (``extra_trials``) adds one more. An empty y block drops
+# the y-solve's.
 PER_ITERATION = 2
 
 
@@ -64,7 +65,7 @@ def test_validations_per_iteration_are_pinned(monkeypatch, family, strategy, see
     assert len(iterates) == res.iterations
 
     rejects = (
-        rejected_trials(res.history, cfg.backtrack.l_init)
+        extra_trials(res, cfg.backtrack)
         if strategy == "backtracking"
         else [0] * res.iterations
     )
