@@ -34,12 +34,13 @@ from .errors import (
     ConfigError,
     DegenerateFit,
     InsufficientHistory,
+    MissingExactMinimizer,
     SchemaMismatch,
     SufficientDecreaseViolated,
     TamperDetected,
 )
 from .numerics import fd_check_gradients, probe_lipschitz_x
-from .problem import BlockPoint, checked_grad, checked_value, positive_lipschitz
+from .problem import BlockPoint, checked_grad, checked_lipschitz, checked_minimizer, checked_value
 from .problems import (
     FAMILY_NAMES,
     LipschitzOverride,
@@ -60,18 +61,20 @@ _FAMILY_KEYS = {
     "two_block_rosenbrock": {"scale": "float"},
 }
 
-_SOLVER_KEYS = (
-    "x_strategy",
-    "grad_tol",
-    "y_tol",
-    "max_iters",
-    "seed",
-    "start_x",
-    "start_y",
-    "backtrack_l_init",
-    "backtrack_growth",
-    "backtrack_max_rejects",
-)
+# [solver] key -> kind: start_* land on RunConfig, backtrack_<field> on SolverConfig.backtrack,
+# the rest on the SolverConfig field of that name; a key left out keeps the dataclass default.
+_SOLVER_KEYS = {
+    "start_x": "vector",
+    "start_y": "vector",
+    "backtrack_l_init": "float",
+    "backtrack_growth": "float",
+    "backtrack_max_rejects": "int",
+    "x_strategy": "str",
+    "y_tol": "float",
+    "grad_tol": "float",
+    "max_iters": "int",
+    "seed": "int",
+}
 
 # Errors that mean the certificate itself failed, as opposed to the run
 # being unable to proceed; they map to exit 2 instead of 1.
@@ -143,10 +146,8 @@ def parse_config(path: str) -> RunConfig:
         )
     prob_seed = _take(prob, "problem", "seed", "int", 0)
     override = _take(prob, "problem", "lipschitz_override", "float")
-    params = {}
-    for key, kind in _FAMILY_KEYS[family].items():
-        if key in prob:
-            params[key] = _take(prob, "problem", key, kind)
+    params = {key: _take(prob, "problem", key, kind)
+              for key, kind in _FAMILY_KEYS[family].items() if key in prob}
     if prob:
         raise ConfigError(f"[problem] unknown keys for {family}: {', '.join(sorted(prob))}")
     spec = ProblemSpec(family=family, seed=prob_seed, params=params)
@@ -155,22 +156,15 @@ def parse_config(path: str) -> RunConfig:
     for key in sol:
         if key not in _SOLVER_KEYS:
             raise ConfigError(f"[solver] unknown key {key!r}")
-    start_x = _take(sol, "solver", "start_x", "vector")
-    start_y = _take(sol, "solver", "start_y", "vector")
-    bt = BacktrackParams(
-        l_init=_take(sol, "solver", "backtrack_l_init", "float", 1.0),
-        growth=_take(sol, "solver", "backtrack_growth", "float", 2.0),
-        max_rejects=_take(sol, "solver", "backtrack_max_rejects", "int", 60),
-    )
+    given = {key: _take(sol, "solver", key, kind)
+             for key, kind in _SOLVER_KEYS.items() if key in sol}
+    start_x, start_y = given.pop("start_x", None), given.pop("start_y", None)
+    backtrack = {
+        key.removeprefix("backtrack_"): given.pop(key)
+        for key in list(given) if key.startswith("backtrack_")
+    }
     try:
-        scfg = SolverConfig(
-            x_strategy=sol.pop("x_strategy", "fixed_step"),
-            y_tol=_take(sol, "solver", "y_tol", "float"),
-            grad_tol=_take(sol, "solver", "grad_tol", "float", 1e-9),
-            max_iters=_take(sol, "solver", "max_iters", "int", 1000),
-            backtrack=bt,
-            seed=_take(sol, "solver", "seed", "int", 0),
-        )
+        scfg = SolverConfig(backtrack=BacktrackParams(**backtrack), **given)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from None
 
@@ -333,6 +327,22 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
     return code
 
 
+def _answers(read, points):
+    """``(p, read(p))`` for each of ``points`` where an optional oracle answers
+    (neither returns None nor raises MissingExactMinimizer); None if it declines at the first."""
+    answered = []
+    for i, p in enumerate(points):
+        try:
+            answer = read(p)
+        except MissingExactMinimizer:
+            answer = None
+        if answer is not None:
+            answered.append((p, answer))
+        elif i == 0:
+            return None
+    return answered
+
+
 def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]:
     """Oracle cross-checks for one objective; returns (all_passed, payload).
 
@@ -340,7 +350,10 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
     declared exact minimizers actually zeroing their block gradient (and not
     increasing f), and the sampled secant-ratio probe never exceeding the
     declared Lipschitz oracle by more than a factor 1 + 1e-6. Oracle answers
-    are checked as in ``solve()``: a NaN or wrong-size one raises.
+    are read through the ``problem.checked_*`` helpers, as in ``solve()``: a
+    NaN or wrong-size one raises. An optional oracle that declines at the
+    first point has its check skipped; one that declines later skips that
+    point (see ``_answers``).
     """
     if points < 1:
         raise ValueError("points must be at least 1")
@@ -364,65 +377,41 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
     )
 
     for block in ("y", "x"):
-        size = obj.n_y if block == "y" else obj.n_x
-        if size == 0:
-            checks.append(
-                {"name": f"exact_min_{block}", "status": "skipped (empty block)"}
-            )
+        name = f"exact_min_{block}"
+        if (obj.n_y if block == "y" else obj.n_x) == 0:
+            checks.append({"name": name, "status": "skipped (empty block)"})
             continue
-        probe_points = starts[: min(5, len(starts))]
-
-        def fixed(p):
-            return p.x if block == "y" else p.y
-
-        minimize = obj.exact_min_y if block == "y" else obj.exact_min_x
-        worst_res = 0.0
-        ok = True
-        for i, p in enumerate(probe_points):
-            star = minimize(fixed(p))
-            if star is None and i == 0:
-                checks.append({"name": f"exact_min_{block}", "status": "skipped (no oracle)"})
-                break
-            q = p.with_y(star) if block == "y" else p.with_x(star)
-            obj.check_point(q)
+        answered = _answers(lambda p: checked_minimizer(obj, p, block), starts[:5])
+        if answered is None:
+            checks.append({"name": name, "status": "skipped (no oracle)"})
+            continue
+        worst_res, ok = 0.0, True
+        for p, q in answered:
             res = math.sqrt(checked_grad(obj, q, block)[1])
             base = max(1.0, math.sqrt(checked_grad(obj, p, block)[1]))
             worst_res = max(worst_res, res / base)
             f_p = checked_value(obj, p)
             if res > 1e-10 * base or checked_value(obj, q) > f_p + check_tol_for(f_p):
                 ok = False
-        else:
-            checks.append(
-                {
-                    "name": f"exact_min_{block}",
-                    "status": "ok" if ok else "fail",
-                    "max_rel_residual": worst_res,
-                }
-            )
+        checks.append({"name": name, "status": "ok" if ok else "fail",
+                       "max_rel_residual": worst_res})
 
+    answered = _answers(lambda p: checked_lipschitz(obj, p.y), starts[:3]) if obj.n_x else None
     if obj.n_x == 0:
         checks.append({"name": "lipschitz_probe", "status": "skipped (empty block)"})
+    elif answered is None:
+        checks.append({"name": "lipschitz_probe", "status": "skipped (no oracle)"})
     else:
-        ok = True
-        worst_ratio = 0.0
-        for i, p in enumerate(starts[:3]):
-            declared = obj.lipschitz_x(p.y)
-            if declared is None and i == 0:
-                checks.append({"name": "lipschitz_probe", "status": "skipped (no oracle)"})
-                break
-            declared = positive_lipschitz(declared)
+        worst_ratio, ok = 0.0, True
+        for p, declared in answered:
             probe = probe_lipschitz_x(obj, p.y, (-2.0, 2.0), samples=100, seed=seed)
             worst_ratio = max(worst_ratio, probe / declared)
             if probe > declared * (1.0 + 1e-6):
                 ok = False
-        else:
-            checks.append(
-                {
-                    "name": "lipschitz_probe",
-                    "status": "ok" if ok else "fail",
-                    "max_probe_over_declared": worst_ratio,
-                }
-            )
+        checks.append(
+            {"name": "lipschitz_probe", "status": "ok" if ok else "fail",
+             "max_probe_over_declared": worst_ratio}
+        )
 
     passed = all(c["status"] != "fail" for c in checks)
     return passed, {"checks": checks, "passed": passed}

@@ -3,8 +3,9 @@
 The solver only ever talks to an :class:`Objective` through the methods here:
 a value, one gradient per block, and a handful of optional oracles (exact
 block minimizers, a block-x Lipschitz constant, a lower bound). Optional
-oracles return ``None`` when the problem cannot provide them; strategies turn
-that into the specific Missing* error.
+oracles return ``None`` when the problem cannot provide them. Each oracle is
+read through one ``checked_*`` helper; strategies turn an optional oracle's
+``None`` into the specific Missing* error.
 """
 
 from __future__ import annotations
@@ -185,17 +186,6 @@ def checked_value(obj: Objective, p: BlockPoint) -> float:
     return f
 
 
-def positive_lipschitz(lip) -> float:
-    """A declared ``lipschitz_x`` as a float; it must be a finite, positive scalar."""
-    try:
-        lip = float(lip)
-    except TypeError:
-        raise DimensionMismatch(f"lipschitz_x has shape {np.shape(lip)}, expected a scalar") from None
-    if not (math.isfinite(lip) and lip > 0):
-        raise NonFiniteValue(f"lipschitz_x returned {lip!r}")
-    return lip
-
-
 def checked_grad(obj: Objective, p: BlockPoint, block: str):
     """One block gradient (``block`` is "x" or "y") and its squared norm.
 
@@ -219,6 +209,36 @@ def checked_grad(obj: Objective, p: BlockPoint, block: str):
     if math.isnan(g_sq):
         raise NonFiniteValue(f"grad_{block} is non-finite at {p!r}")
     return g, g_sq
+
+
+def checked_minimizer(obj: Objective, p: BlockPoint, block: str) -> BlockPoint | None:
+    """``p`` with ``block`` ("x" or "y") moved to its declared exact minimizer, checked.
+
+    None when the oracle returns None; a MissingExactMinimizer it raises passes through.
+    """
+    star = obj.exact_min_x(p.y) if block == "x" else obj.exact_min_y(p.x)
+    if star is None:
+        return None
+    q = p.with_x(star) if block == "x" else p.with_y(star)
+    obj.check_point(q)
+    return q
+
+
+def checked_lipschitz(obj: Objective, y: np.ndarray) -> float | None:
+    """``obj.lipschitz_x(y)`` as a float, or None when the oracle returns None.
+
+    Raises DimensionMismatch unless it is a scalar, NonFiniteValue unless finite and positive.
+    """
+    lip = obj.lipschitz_x(y)
+    if lip is None:
+        return None
+    try:
+        lip = float(lip)
+    except TypeError:
+        raise DimensionMismatch(f"lipschitz_x has shape {np.shape(lip)}, expected a scalar") from None
+    if not (math.isfinite(lip) and lip > 0):
+        raise NonFiniteValue(f"lipschitz_x returned {lip!r}")
+    return lip
 
 
 def evaluate(obj: Objective, p: BlockPoint):

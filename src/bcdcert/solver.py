@@ -11,9 +11,9 @@ point it moved to, and ``stationary_y`` the value and ||grad_y||^2 of the next
 iterate, so per iteration the solver itself only calls grad_x. Each number is
 computed once too: ``checked_grad`` hands back ||grad_x||^2 with the gradient,
 and the solver tests ``grad_tol`` with it, records it and passes it to the
-x-strategy. Both blocks' line searches run on ``cfg.backtrack``: each
-block's first search of the run may calibrate below ``l_init``, and each
-block's accepted estimate is carried into its next search.
+x-strategy. Both blocks' line searches run on ``cfg.backtrack``, which the
+run never rebuilds: each block carries its estimate in a local of the loop,
+from one search into the next (see ``strategies._line_search``).
 
 An error from any oracle or strategy mid-run does not discard the work: the
 partial history and an invalidated certificate come back on the RunResult
@@ -22,7 +22,6 @@ with ``stop_reason = ERROR`` and the exception attached.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import time
@@ -167,15 +166,14 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             # Until the y block is solved, f at the start stands in for f0: it
             # is what an error result reports, and this one solve's tolerance.
             f0 = checked_value(obj, start)
+            # None until the block's first search, which starts at l_init and
+            # may calibrate below it, wherever in the run it falls.
+            l_x = None
             point, init_residual, f_cur, gy_sq, l_y = stationary_y(
-                obj, start, f0, y_tol, check_tol_for(f0), cfg.backtrack, first=True
+                obj, start, f0, y_tol, check_tol_for(f0), cfg.backtrack
             )
             f0 = f_cur
             check_tol = check_tol_for(f0)
-            # One estimate per block: its first search (in the y-solve above, at t = 0 for
-            # x) may calibrate below l_init; every later one starts from the
-            # constant its block last accepted, which moves only after a rejection.
-            x_params, y_params = cfg.backtrack, dataclasses.replace(cfg.backtrack, l_init=l_y)
             for t in range(cfg.max_iters):
                 gx, gx_sq = checked_grad(obj, point, "x")
                 if math.sqrt(gx_sq + gy_sq) <= cfg.grad_tol:
@@ -187,15 +185,13 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
                     upd = exact_min_x(obj, point, f_cur, gx, gx_sq, check_tol)
                 else:
                     upd = backtracking_gradient_x(
-                        obj, point, f_cur, gx, gx_sq, check_tol, x_params, first=t == 0
+                        obj, point, f_cur, gx, gx_sq, check_tol, cfg.backtrack, l_x
                     )
-                    if upd.e_t != x_params.l_init:
-                        x_params = dataclasses.replace(x_params, l_init=upd.e_t)
+                    if upd.inner_evals:
+                        l_x = upd.e_t
                 point, residual, f_after_y, gy_sq, l_y = stationary_y(
-                    obj, upd.point, upd.f_next, y_tol, check_tol, y_params
+                    obj, upd.point, upd.f_next, y_tol, check_tol, cfg.backtrack, l_y
                 )
-                if l_y != y_params.l_init:
-                    y_params = dataclasses.replace(y_params, l_init=l_y)
                 _append_row(rows, t, (f_cur, upd.f_next, f_after_y, gx_sq, residual, upd.e_t))
                 f_cur = f_after_y
         except BcdcertError as err:

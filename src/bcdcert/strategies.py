@@ -14,8 +14,8 @@ certificate certifies. ``stationary_y`` likewise takes ``f(p)`` and
 returns the value and ``||grad_y||^2`` at the point it lands on, so no number
 the solver needs is computed twice. ``backtracking`` on x and a y block
 without ``exact_min_y`` share one line search on the run's ``BacktrackParams``
-and hand back the estimate it accepted, which the caller carries forward;
-each block's first search of a run may calibrate below ``l_init``. A
+and hand back the estimate it accepted, which the caller passes as ``l_hat``
+to the block's next search (None before its first, see ``_line_search``). A
 strategy that cannot honor its own certificate raises (never silently
 repairs): a violated guarantee means the caller's oracle is wrong, and that
 is a bug to surface.
@@ -23,7 +23,6 @@ is a bug to surface.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -38,7 +37,9 @@ from .errors import (
     NonFiniteValue,
     SufficientDecreaseViolated,
 )
-from .problem import BlockPoint, Objective, checked_grad, checked_value, positive_lipschitz
+from .problem import (
+    BlockPoint, Objective, checked_grad, checked_lipschitz, checked_minimizer, checked_value
+)
 
 _INNER_CAP = 50_000
 
@@ -97,10 +98,9 @@ def fixed_step_gradient_x(
     Verifies the achieved decrease against ||grad_x||^2 / (2L) and raises
     SufficientDecreaseViolated if the oracle's constant was too small.
     """
-    lip = obj.lipschitz_x(p.y)
+    lip = checked_lipschitz(obj, p.y)
     if lip is None:
         raise MissingLipschitzOracle("fixed-step update needs obj.lipschitz_x(y)")
-    lip = positive_lipschitz(lip)
     point = p._adopt_x(p.x - gx / lip)
     f_next = checked_value(obj, point)
     _verify_decrease(f, f_next, g_sq, lip, tol, "lipschitz_x")
@@ -115,35 +115,34 @@ def exact_min_x(
     The exact minimizer decreases f at least as much as the 1/L gradient step,
     so the same constant certifies the condition.
     """
-    lip = obj.lipschitz_x(p.y)
+    # the minimizer first: a singular block raises MissingExactMinimizer even if its L is 0
+    point = checked_minimizer(obj, p, "x")
+    lip = checked_lipschitz(obj, p.y)
     if lip is None:
         raise MissingLipschitzOracle("exact-min update still reports e_t = L(y)")
-    x_next = obj.exact_min_x(p.y)
-    if x_next is None:
+    if point is None:
         raise MissingExactMinimizer("objective provides no exact_min_x oracle")
-    lip = positive_lipschitz(lip)
-    point = p.with_x(x_next)
-    obj.check_point(point)
     f_next = checked_value(obj, point)
     _verify_decrease(f, f_next, g_sq, lip, tol, "exact_min_x or lipschitz_x")
     return XUpdateResult(point, f_next, lip, inner_evals=1)
 
 
-def _line_search(obj, p, block, f, g, g_sq, tol, params, first=False):
+def _line_search(obj, p, block, f, g, g_sq, tol, params, l_hat=None):
     """The backtracking line search of both blocks.
 
     Moves ``block`` ("x" or "y") of ``p`` from v to v - g / L̂, ``g`` its
-    gradient at ``p``, for L̂ in {l_init * growth^k}, and returns ``(trial,
+    gradient at ``p``, for L̂ in {l_hat * growth^k}, and returns ``(trial,
     f_trial, L̂, trials)`` for the first trial with f - f(trial) >=
     g_sq / (2 L̂) - tol. A non-finite trial value counts as a rejection (the
     step overshot the finite domain; growing L̂ recovers).
 
-    ``first`` marks the block's first search of the run, where ``l_init`` is
-    only a guess. If the trial at ``l_init`` passes on its first try, and not
-    only through ``tol`` (g_sq / (2 l_init) > tol), the search calibrates
-    down: it tries l_init / growth^k for k = 1, 2, ... while the same test
-    passes, within ``max_rejects + 1`` trials in all, and returns the
-    smallest estimate that passed. Every other search only grows L̂.
+    ``l_hat`` is the estimate the block carries from its last search, and
+    None before its first, which starts at ``params.l_init``, only a guess.
+    If that trial passes on its first try, and not only through ``tol``
+    (g_sq / (2 l_init) > tol), the search calibrates down: it tries
+    l_init / growth^k for k = 1, 2, ... while the same test passes, within
+    ``max_rejects + 1`` trials in all, and returns the smallest estimate
+    that passed. A search from a carried estimate only grows it.
     """
     adopt, v = (p._adopt_x, p.x) if block == "x" else (p._adopt_y, p.y)
 
@@ -158,7 +157,9 @@ def _line_search(obj, p, block, f, g, g_sq, tol, params, first=False):
         # every estimate and exhaust.
         return trial, f_try, sufficient_decrease(f, f_try, g_sq, l_hat, tol)
 
-    l_hat = params.l_init
+    calibrate = l_hat is None
+    if calibrate:
+        l_hat = params.l_init
     for trials in range(1, params.max_rejects + 2):
         trial, f_try, passed = attempt(l_hat)
         if passed:
@@ -169,7 +170,7 @@ def _line_search(obj, p, block, f, g, g_sq, tol, params, first=False):
             f"no acceptable step after {params.max_rejects} rejections "
             f"(last estimate {l_hat:.3g}); bad l_init or non-Lipschitz region"
         )
-    if first and trials == 1 and g_sq / (2.0 * l_hat) > tol:
+    if calibrate and trials == 1 and g_sq / (2.0 * l_hat) > tol:
         for trials in range(2, params.max_rejects + 2):
             lower = l_hat / params.growth
             lower_trial, f_lower, passed = attempt(lower)
@@ -181,44 +182,40 @@ def _line_search(obj, p, block, f, g, g_sq, tol, params, first=False):
 
 def backtracking_gradient_x(
     obj: Objective, p: BlockPoint, f: float, gx: np.ndarray, g_sq: float, tol: float,
-    params: BacktrackParams, first: bool = False,
+    params: BacktrackParams, l_hat: float | None = None,
 ) -> XUpdateResult:
     """The x call of ``_line_search``: e_t is the estimate it accepts.
 
-    ``first`` marks the run's first x-step, whose search may calibrate
-    below ``params.l_init``.
+    A zero gradient searches nothing (``inner_evals`` 0) and reports ``l_hat``,
+    or ``params.l_init`` before the block's first search.
     """
     if g_sq == 0.0:
-        return XUpdateResult(p, f, params.l_init, 0)
-    return XUpdateResult(*_line_search(obj, p, "x", f, gx, g_sq, tol, params, first))
+        return XUpdateResult(p, f, params.l_init if l_hat is None else l_hat, 0)
+    return XUpdateResult(*_line_search(obj, p, "x", f, gx, g_sq, tol, params, l_hat))
 
 
 def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, tol: float,
-                 params: BacktrackParams, first: bool = False):
+                 params: BacktrackParams, l_hat: float | None = None):
     """Drive the y block to (numerical) stationarity at fixed x.
 
     ``f_before`` is f(p). Uses the exact minimizer when the objective
-    provides one, otherwise y calls of ``_line_search`` on the schedule
-    ``params``, until ||grad_y|| <= y_tol; ``first`` marks the run's first
-    y-solve, whose first search may calibrate below ``params.l_init``.
-    Returns (point, residual, f_after, gy_sq, l_hat) at the new point, where
-    gy_sq is ||grad_y||^2, residual its square root and l_hat the last
-    accepted y estimate (``params.l_init`` if none), for the caller to carry
-    into the next solve. The residual is recorded rather than hidden so the
-    certificate can expose inexact solves. Never increases f by more than
-    ``tol``, the certificate's allowance for the y-step.
+    provides one, otherwise y calls of ``_line_search`` on ``params`` from
+    the carried estimate ``l_hat``, until ||grad_y|| <= y_tol. Returns
+    (point, residual, f_after, gy_sq, l_hat) at the new point, where gy_sq
+    is ||grad_y||^2, residual its square root and l_hat the estimate to
+    carry: the last one accepted, or the one given if none was. The residual
+    is recorded rather than hidden so the certificate can expose inexact
+    solves. Never increases f by more than ``tol``, the certificate's
+    allowance for the y-step.
     """
     if not y_tol > 0:
         raise ValueError("y_tol must be positive")
     obj.check_point(p)
-    l_hat = params.l_init
     if obj.n_y == 0:
         return p, 0.0, f_before, 0.0, l_hat
 
-    y_exact = obj.exact_min_y(p.x)
-    if y_exact is not None:
-        point = p.with_y(y_exact)
-        obj.check_point(point)
+    point = checked_minimizer(obj, p, "y")
+    if point is not None:
         _, gy_sq = checked_grad(obj, point, "y")
         residual = math.sqrt(gy_sq)
         if residual > y_tol:
@@ -232,11 +229,8 @@ def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, t
             if residual <= y_tol:
                 break
             point, f_after, l_hat, _ = _line_search(
-                obj, point, "y", f_after, gy, gy_sq, tol, params, first
+                obj, point, "y", f_after, gy, gy_sq, tol, params, l_hat
             )
-            first = False
-            if l_hat != params.l_init:
-                params = dataclasses.replace(params, l_init=l_hat)
         else:
             raise InnerSolveFailed(f"y residual above {y_tol:.3g} after {_INNER_CAP} inner steps")
 

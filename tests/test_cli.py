@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bcdcert import cli
 from bcdcert.cli import (
     RunConfig,
     _resolve_start,
@@ -17,9 +19,10 @@ from bcdcert.cli import (
     run_oracle_checks,
 )
 from bcdcert.certificate import IterationRecord
-from bcdcert.errors import ConfigError, DimensionMismatch, NonFiniteValue
+from bcdcert.errors import ConfigError, DimensionMismatch, MissingExactMinimizer, NonFiniteValue
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import CoupledQuadratic, make_problem
+from bcdcert.solver import SolverConfig
 from bcdcert.traceio import read_trace, write_json
 
 from conftest import BreaksAtCall, zoo_problem
@@ -117,6 +120,32 @@ def test_parse_minimal_defaults(tmp_path):
     assert cfg.out_prefix == "run"
     assert cfg.baseline_step is None
     assert cfg.lipschitz_override is None
+
+
+def test_a_config_without_a_solver_section_gets_the_dataclass_defaults(tmp_path):
+    assert parse_config(write_cfg(tmp_path, COUPLED)).solver == SolverConfig()
+
+
+SOLVER_KEY_FIELDS = [
+    ("x_strategy", "exact_min", "solver.x_strategy", "exact_min"),
+    ("grad_tol", "1e-7", "solver.grad_tol", 1e-7),
+    ("y_tol", "1e-11", "solver.y_tol", 1e-11),
+    ("max_iters", "7", "solver.max_iters", 7),
+    ("seed", "4", "solver.seed", 4),
+    ("start_x", "1 2 3 4", "start_x", [1.0, 2.0, 3.0, 4.0]),
+    ("start_y", "5 6 7", "start_y", [5.0, 6.0, 7.0]),
+    ("backtrack_l_init", "0.25", "solver.backtrack.l_init", 0.25),
+    ("backtrack_growth", "3", "solver.backtrack.growth", 3.0),
+    ("backtrack_max_rejects", "9", "solver.backtrack.max_rejects", 9),
+]
+
+
+@pytest.mark.parametrize("key,raw,field,value", SOLVER_KEY_FIELDS, ids=[k for k, *_ in SOLVER_KEY_FIELDS])
+def test_each_solver_key_lands_on_its_field(tmp_path, key, raw, field, value):
+    assert {k for k, *_ in SOLVER_KEY_FIELDS} == set(cli._SOLVER_KEYS)
+    cfg = parse_config(write_cfg(tmp_path, COUPLED + f"[solver]\n{key} = {raw}\n"))
+    got = operator.attrgetter(field)(cfg)
+    assert got == value and type(got) is type(value)
 
 
 BAD_CONFIGS = [
@@ -487,6 +516,22 @@ def test_run_config_error_exit(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("backtrack_l_init = -1", "l_init must be positive"),
+        ("backtrack_growth = 1", "growth must exceed 1"),
+        ("backtrack_max_rejects = 0", "max_rejects must be at least 1"),
+    ],
+)
+def test_bad_backtrack_values_are_config_errors(tmp_path, capsys, command, line, message):
+    # these once escaped parse_config as a ValueError traceback
+    cfg = write_cfg(tmp_path, COUPLED + f"[solver]\n{line}\n")
+    assert run_cli([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: [solver] {message}\n"
+
+
 # --- report command ----------------------------------------------------------
 
 
@@ -758,3 +803,55 @@ def test_oracle_checks_name_a_broken_gradient_coordinate():
     fd = payload["checks"][0]
     assert fd["name"] == "fd_gradients" and fd["status"] == "fail"
     assert fd["worst_coordinate"] == ["x", 2]
+
+
+def declines_after_its_first_answer(obj, kind, decline):
+    """``obj`` whose ``kind`` oracle answers once, then declines by ``decline()``."""
+    oracle, calls = getattr(obj, kind), []
+
+    def answer(arg):
+        calls.append(arg)
+        return oracle(arg) if len(calls) == 1 else decline()
+
+    setattr(obj, kind, answer)
+    return obj
+
+
+def _raise_missing():
+    raise MissingExactMinimizer("declined")
+
+
+@pytest.mark.parametrize("decline", [lambda: None, _raise_missing], ids=["none", "raises"])
+def test_oracle_checks_leave_out_a_point_where_exact_min_y_declines(decline):
+    # a None here once raised NonFiniteValue ("y contains NaN/Inf entries")
+    obj = declines_after_its_first_answer(zoo_problem("coupled_quadratic"), "exact_min_y", decline)
+    passed, payload = run_oracle_checks(obj, points=5, seed=0)
+    assert passed
+    check = payload["checks"][1]
+    assert check["name"] == "exact_min_y" and check["status"] == "ok"
+    assert check["max_rel_residual"] <= 1e-10
+
+
+def test_oracle_checks_leave_out_a_point_where_lipschitz_x_declines():
+    # once a DimensionMismatch ("lipschitz_x has shape ()")
+    obj = declines_after_its_first_answer(zoo_problem("coupled_quadratic"), "lipschitz_x", lambda: None)
+    passed, payload = run_oracle_checks(obj, points=5, seed=0)
+    assert passed
+    check = payload["checks"][-1]
+    assert check["name"] == "lipschitz_probe" and check["status"] == "ok"
+    assert check["max_probe_over_declared"] <= 1.0 + 1e-6
+
+
+def test_check_skips_exact_min_x_of_a_singular_quadratic_and_probes_lipschitz(
+    tmp_path, capsys, monkeypatch
+):
+    # A is PSD but singular: exact_min_x raises MissingExactMinimizer, which
+    # once aborted the whole check with exit 1
+    singular = CoupledQuadratic([[2.0, 0.0], [0.0, 0.0]], [[1.0], [0.5]], [[3.0]], [1.0, -1.0], [0.5])
+    monkeypatch.setattr("bcdcert.cli.make_problem", lambda spec: singular)
+    cfg = write_cfg(tmp_path, COUPLED)
+    assert run_cli(["check", "--config", cfg, "--quiet"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["exact_min_y"]["status"] == "ok"
+    assert checks["exact_min_x"]["status"] == "skipped (no oracle)"
+    assert checks["lipschitz_probe"]["status"] == "ok"

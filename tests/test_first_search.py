@@ -80,20 +80,46 @@ def test_matrix_factorization_backtracking_is_pinned(seed):
     assert res.certificate.e_max < 1.0
 
 
+def _flat_coupled():
+    """The seed-1 coupled quadratic with f scaled by 0.01: both block constants below 0.1."""
+    base = zoo_problem("coupled_quadratic", seed=1)
+    return CoupledQuadratic(*(0.01 * m for m in (base.A, base.B, base.C, base.a, base.c)))
+
+
 # Oracle calls without the calibration; each run was certified.
 SCALED_COUPLED_CALLS = {"fixed_step": 19340, "backtracking": 307447}
 
 
 @pytest.mark.parametrize("strategy", sorted(SCALED_COUPLED_CALLS))
 def test_flat_coupled_quadratic_without_exact_y_is_cheap(strategy):
-    # f scaled by 0.01: both block constants fall below 0.1, and each
-    # y-solve runs the y line search, which started each step at 1 before
-    base = zoo_problem("coupled_quadratic", seed=1)
-    inner = CoupledQuadratic(*(0.01 * m for m in (base.A, base.B, base.C, base.a, base.c)))
+    # each y-solve runs the y line search, which started each step at 1 before
+    inner = _flat_coupled()
     obj = NoExactY(inner)
     res = solve(obj, zoo_start(inner, 1), SolverConfig(x_strategy=strategy))
     assert certified(res)
     assert 10 * len(obj.log) <= SCALED_COUPLED_CALLS[strategy]
+
+
+# Oracle calls from y*(x0), where the initial y-solve searches nothing. When
+# only a search inside that solve could calibrate, the y block's first search
+# never did, and these runs made 17 888 and 21 846 calls, 16-17 times as many
+# as from 1e-3 off y*(x0).
+AT_Y_STAR_CALLS = {"fixed_step": 1031, "backtracking": 1235}
+
+
+@pytest.mark.parametrize("strategy", sorted(AT_Y_STAR_CALLS))
+def test_the_first_y_search_calibrates_wherever_it_falls(strategy):
+    inner = _flat_coupled()
+    x0 = zoo_start(inner, 1).x
+    y_star = inner.exact_min_y(x0)
+    calls = {}
+    for offset in (0.0, 1e-3):
+        obj = NoExactY(inner)
+        res = solve(obj, BlockPoint(x0, y_star + offset), SolverConfig(x_strategy=strategy))
+        assert certified(res)
+        calls[offset] = len(obj.log)
+    assert calls[0.0] == AT_Y_STAR_CALLS[strategy]
+    assert abs(calls[0.0] - calls[1e-3]) <= 0.05 * calls[1e-3]
 
 
 # --- how far the descent goes ------------------------------------------------
@@ -118,7 +144,7 @@ class _LinearInX(Objective):
 def test_descent_stops_after_max_rejects_plus_one_trials(max_rejects):
     obj, p = _LinearInX(), BlockPoint([0.0])
     params = BacktrackParams(l_init=1.0, growth=2.0, max_rejects=max_rejects)
-    upd = backtracking_gradient_x(obj, p, *at(obj, p), params, first=True)
+    upd = backtracking_gradient_x(obj, p, *at(obj, p), params)
     assert upd.inner_evals == max_rejects + 1
     assert upd.e_t == 2.0**-max_rejects
     np.testing.assert_array_equal(upd.point.x, [-(2.0**max_rejects)])
@@ -128,9 +154,9 @@ def test_descent_stops_after_max_rejects_plus_one_trials(max_rejects):
 def test_descent_returns_the_smallest_estimate_that_passed():
     # l = 0.05 from l_init = 1: trials at 1, 1/2, ..., 1/16 pass, 1/32 fails
     obj, p = TightQuadratic(0.05, [0.0], [1.0]), BlockPoint([2.0])
-    upd = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams(), first=True)
+    upd = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams())
     assert upd.e_t == 1.0 / 16 and upd.inner_evals == 4 + 2
-    later = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams())
+    later = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams(), 1.0)
     assert later.e_t == 1.0 and later.inner_evals == 1
 
 
@@ -145,12 +171,12 @@ def test_descent_returns_the_smallest_estimate_that_passed():
     ],
     ids=["rejected", "vacuous"],
 )
-def test_first_flag_changes_nothing_unless_the_first_trial_is_informative(obj, x):
+def test_calibration_changes_nothing_unless_the_first_trial_is_informative(obj, x):
     p = BlockPoint([x])
     f, gx, g_sq, tol = at(obj, p)
     params = BacktrackParams()
-    first = backtracking_gradient_x(obj, p, f, gx, g_sq, tol, params, first=True)
-    plain = backtracking_gradient_x(obj, p, f, gx, g_sq, tol, params)
+    first = backtracking_gradient_x(obj, p, f, gx, g_sq, tol, params)
+    plain = backtracking_gradient_x(obj, p, f, gx, g_sq, tol, params, params.l_init)
     assert first.inner_evals == plain.inner_evals
     assert first.e_t == plain.e_t and first.f_next == plain.f_next
     np.testing.assert_array_equal(first.point.x, plain.point.x)
@@ -160,13 +186,24 @@ def test_first_flag_changes_nothing_unless_the_first_trial_is_informative(obj, x
         assert plain.e_t > params.l_init
 
 
+def _from_l_init(update, n_before):
+    """``update`` given ``l_init`` as the estimate wherever its block carries none.
+
+    ``n_before`` is the number of arguments before ``params``.
+    """
+    def wrapped(*args):
+        params, carried = args[n_before], args[n_before + 1:]
+        l_hat = carried[0] if carried and carried[0] is not None else params.l_init
+        return update(*args[:n_before], params, l_hat)
+    return wrapped
+
+
 def solve_without_calibration(monkeypatch, obj, start, cfg):
-    """``solve`` with every search of the run made as a later one."""
+    """``solve`` with every search of the run made from a carried estimate."""
     monkeypatch.setattr(
-        solver, "backtracking_gradient_x",
-        lambda *args, first=False: strategies.backtracking_gradient_x(*args),
+        solver, "backtracking_gradient_x", _from_l_init(strategies.backtracking_gradient_x, 6)
     )
-    monkeypatch.setattr(solver, "stationary_y", lambda *args, first=False: strategies.stationary_y(*args))
+    monkeypatch.setattr(solver, "stationary_y", _from_l_init(strategies.stationary_y, 5))
     res = solve(obj, start, cfg)
     monkeypatch.undo()
     return res

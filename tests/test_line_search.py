@@ -6,7 +6,6 @@ run's ``BacktrackParams``, with the estimate carried from one step and one
 y-solve to the next, and with x's exhaustion error.
 """
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -35,8 +34,8 @@ def y_rejections(log):
     A y-solve runs from its ``exact_min_y`` call to the next ``grad_x``. Each
     accepted step is followed by one ``grad_y``, after the first one, and
     every trial is valued once, so the count is value - (grad_y - 1): the
-    rejected trials, and in the run's first y-solve also those its first
-    search made below l_init.
+    rejected trials, and in the y-solve of the block's first search also
+    those that search made below l_init.
     """
     solves, inside = [], False
     for kind in log:
@@ -127,8 +126,7 @@ def test_stationary_y_returns_the_estimate_it_accepted():
     assert l_hat == params.l_init * 2.0**k and l_hat < 2.0 * lam
     # carried into the next solve, the estimate is not searched for again
     moved = q.with_x(q.x + 1.0)
-    carried = dataclasses.replace(params, l_init=l_hat)
-    *_, l_again = stationary_y(obj, moved, inner.value(moved), 1e-8, check_tol_for(f), carried)
+    *_, l_again = stationary_y(obj, moved, inner.value(moved), 1e-8, check_tol_for(f), params, l_hat)
     assert l_again == l_hat
     assert y_rejections(obj.log)[-1] == 0
 

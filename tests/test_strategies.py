@@ -207,9 +207,9 @@ def test_backtracking_doubling_chain_lands_on_L():
     assert upd.f_next == obj.value(upd.point)
 
 
-def test_backtracking_accepts_immediately_when_l_init_suffices():
+def test_backtracking_accepts_immediately_when_the_carried_estimate_suffices():
     obj, p = tight(), BlockPoint([3.0])
-    upd = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams(l_init=4.0))
+    upd = backtracking_gradient_x(obj, p, *at(obj, p), BacktrackParams(), 4.0)
     assert upd.e_t == 4.0
     assert upd.inner_evals == 1
 
@@ -222,6 +222,9 @@ def test_backtracking_zero_gradient_short_circuits():
     np.testing.assert_array_equal(upd.point.x, p.x)
     assert upd.e_t == 7.0
     assert upd.f_next == f and upd.inner_evals == 0
+    # a carried estimate is reported as it is
+    carried = backtracking_gradient_x(obj, p, f, gx, g_sq, tol, BacktrackParams(l_init=7.0), 3.0)
+    assert carried.e_t == 3.0 and carried.inner_evals == 0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -370,7 +373,10 @@ def test_stationary_y_exact_path():
     assert gy_sq == float(obj.grad_y(q) @ obj.grad_y(q)) and math.sqrt(gy_sq) == res
     assert f_after == obj.value(q)
     assert obj.value(q) <= obj.value(p)
-    assert l_hat == BacktrackParams().l_init  # nothing was searched
+    # nothing was searched: the estimate given comes back
+    assert l_hat is None
+    *_, l_hat = stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams(), 3.0)
+    assert l_hat == 3.0
 
 
 def test_stationary_y_empty_block():
@@ -379,7 +385,9 @@ def test_stationary_y_empty_block():
     q, res, f_after, gy_sq, l_hat = stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams())
     assert q.y.shape == (0,) and res == 0.0
     assert q == p and f_after == obj.value(p) and gy_sq == 0.0
-    assert l_hat == BacktrackParams().l_init
+    assert l_hat is None
+    *_, l_hat = stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams(), 3.0)
+    assert l_hat == 3.0
 
 
 class _HiddenMinimizer(CoupledQuadratic):
