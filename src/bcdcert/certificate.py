@@ -23,6 +23,7 @@ at the measurement point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ from .errors import DegenerateFit, InsufficientHistory
 
 # The raw fields of a record, in trace column order; everything else is derived.
 RAW_FIELDS = ("f_before", "f_after_x", "f_after_y", "gx_norm_sq", "gy_residual", "e_t")
+
+# Rows turned into Python scalars at a time when a run is walked row by row.
+_BLOCK = 1024
 
 
 def check_record(t, *fields) -> None:
@@ -71,11 +75,23 @@ class IterationRecord:
                      self.gx_norm_sq, self.gy_residual, self.e_t)
 
 
+def row_blocks(columns):
+    """Yield (t0, lists): rows t0, t0 + 1, ... of equal-length ``columns``, _BLOCK rows at a time.
+
+    Each list holds one column's values for those rows as Python scalars, so
+    walking a run row by row never holds more than one block of them.
+    """
+    n = len(columns[0])
+    for t0 in range(0, n, _BLOCK):
+        yield t0, [col[t0:t0 + _BLOCK].tolist() for col in columns]
+
+
 class History:
     """Records as columns: a float64 array per raw field, plus the bool suff_ok.
 
     Reads like a list of ``IterationRecord`` with ``t == index``; a row
-    becomes a record (of Python floats) only when it is read. Build it from
+    becomes a record (of Python floats) only when it is read, and iteration
+    converts one ``row_blocks`` block at a time. Build it from
     values that passed ``check_record``; it does not check them again.
     """
 
@@ -117,9 +133,9 @@ class History:
         return len(self.suff_ok)
 
     def __iter__(self):
-        columns = [getattr(self, name).tolist() for name in self._fields]
-        for t, values in enumerate(zip(*columns)):
-            yield self._row(t, *values)
+        for t0, columns in row_blocks([getattr(self, name) for name in self._fields]):
+            for t, values in enumerate(zip(*columns), t0):
+                yield self._row(t, *values)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -129,7 +145,7 @@ class History:
 
     def __eq__(self, other):
         if isinstance(other, (History, list)):
-            return list(self) == list(other)
+            return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
 
 

@@ -164,7 +164,12 @@ def parse_config(path: str) -> RunConfig:
         for key in list(given) if key.startswith("backtrack_")
     }
     try:
-        scfg = SolverConfig(backtrack=BacktrackParams(**backtrack), **given)
+        # each BacktrackParams error starts with its field name; the key is backtrack_<field>
+        backtrack_params = BacktrackParams(**backtrack)
+    except ValueError as exc:
+        raise ConfigError(f"[solver] backtrack_{exc}") from None
+    try:
+        scfg = SolverConfig(backtrack=backtrack_params, **given)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from None
 

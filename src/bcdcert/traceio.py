@@ -22,7 +22,6 @@ determines every derived column.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 import tempfile
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import RAW_FIELDS, Certificate, History, IterationRecord, check_record, fold
+from .certificate import RAW_FIELDS, Certificate, History, IterationRecord, check_record, fold, row_blocks
 from .errors import SchemaMismatch, TamperDetected
 
 TRACE_HEADER = "t,f_before,f_after_x,f_after_y,gx_norm_sq,gy_residual,e_t,suff_ok,cum_sum,rate_bound_prefix"
@@ -54,7 +53,8 @@ class TraceRow:
 class Trace(History):
     """A parsed trace: a History of its raw and suff_ok columns, plus cum_sum and rate_bound_prefix.
 
-    Reads like a list of ``TraceRow``.
+    Reads like a list of ``TraceRow``. From ``read_trace``, the float columns
+    are views of the one buffer the file was parsed into.
     """
 
     __slots__ = ("cum_sum", "rate_bound_prefix")
@@ -86,15 +86,21 @@ def _atomic_write(path: str, chunks) -> None:
 def write_trace(path: str, history: History) -> None:
     """Write a History as a trace CSV (whole-file atomic).
 
-    Lines are rendered from the columns with repr(), one at a time.
+    Lines are rendered from the columns with repr(), one ``row_blocks``
+    block at a time.
     """
     suff_ok, cum_sum, rate_bound, _ = fold(history)
-    columns = [map(str, range(len(history)))]
-    columns += [map(repr, getattr(history, name).tolist()) for name in RAW_FIELDS]
-    columns.append(("1" if ok else "0" for ok in suff_ok.tolist()))
-    columns += [map(repr, cum_sum.tolist()), map(repr, rate_bound.tolist())]
-    lines = (",".join(cells) + "\n" for cells in zip(*columns))
-    _atomic_write(path, itertools.chain([TRACE_HEADER + "\n"], lines))
+    columns = [getattr(history, name) for name in RAW_FIELDS] + [suff_ok, cum_sum, rate_bound]
+
+    def lines():
+        yield TRACE_HEADER + "\n"
+        for t0, (*raw, flags, sums, bounds) in row_blocks(columns):
+            cells = [map(str, range(t0, t0 + len(flags)))]
+            cells += [map(repr, col) for col in raw]
+            cells += [("1" if ok else "0" for ok in flags), map(repr, sums), map(repr, bounds)]
+            yield "".join(",".join(row) + "\n" for row in zip(*cells))
+
+    _atomic_write(path, lines())
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -165,7 +171,8 @@ def read_trace(path: str) -> Trace:
             fault = _parse_row(cells, index, flags, values)
             if fault is not None:
                 break
-    table = np.array(values, dtype=np.float64).reshape(len(flags), len(_FLOAT_COLUMNS)).T
+    # the parsed buffer itself, without a copy: every column is a view of it
+    table = np.frombuffer(values, dtype=np.float64).reshape(len(flags), len(_FLOAT_COLUMNS)).T
     fault = _first_bad_value(table) or fault
     if fault is not None:
         raise SchemaMismatch(fault)

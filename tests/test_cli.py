@@ -520,9 +520,9 @@ def test_run_config_error_exit(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line,message",
     [
-        ("backtrack_l_init = -1", "l_init must be positive"),
-        ("backtrack_growth = 1", "growth must exceed 1"),
-        ("backtrack_max_rejects = 0", "max_rejects must be at least 1"),
+        ("backtrack_l_init = -1", "backtrack_l_init must be positive"),
+        ("backtrack_growth = 1", "backtrack_growth must exceed 1"),
+        ("backtrack_max_rejects = 0", "backtrack_max_rejects must be at least 1"),
     ],
 )
 def test_bad_backtrack_values_are_config_errors(tmp_path, capsys, command, line, message):
