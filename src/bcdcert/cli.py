@@ -5,7 +5,7 @@ Subcommands:
 - ``run``    solve a configured problem, write <prefix>.trace.csv and
              <prefix>.summary.json (plus a baseline trace when configured)
 - ``check``  finite-difference, minimizer-consistency, and Lipschitz-probe
-             oracle checks for a configured problem
+             oracle checks for a configured problem (``numerics.run_oracle_checks``)
 - ``report`` re-read a trace CSV, refold the certificate, verify the
              telescoped and rate bounds at every prefix, fit the decay slope
 
@@ -28,19 +28,18 @@ import sys
 
 import numpy as np
 
-from .certificate import check_tol_for, fit_rate
+from .certificate import fit_rate
 from .errors import (
     BcdcertError,
     ConfigError,
     DegenerateFit,
     InsufficientHistory,
-    MissingExactMinimizer,
     SchemaMismatch,
     SufficientDecreaseViolated,
     TamperDetected,
 )
-from .numerics import fd_check_gradients, probe_lipschitz_x
-from .problem import BlockPoint, checked_grad, checked_lipschitz, checked_minimizer, checked_value
+from .numerics import run_oracle_checks
+from .problem import BlockPoint
 from .problems import (
     FAMILY_NAMES,
     LipschitzOverride,
@@ -332,100 +331,10 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
     return code
 
 
-def _answers(read, points):
-    """``(p, read(p))`` for each of ``points`` where an optional oracle answers
-    (neither returns None nor raises MissingExactMinimizer); None if it declines at the first."""
-    answered = []
-    for i, p in enumerate(points):
-        try:
-            answer = read(p)
-        except MissingExactMinimizer:
-            answer = None
-        if answer is not None:
-            answered.append((p, answer))
-        elif i == 0:
-            return None
-    return answered
-
-
-def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]:
-    """Oracle cross-checks for one objective; returns (all_passed, payload).
-
-    Three groups: central finite differences against both gradient blocks,
-    declared exact minimizers actually zeroing their block gradient (and not
-    increasing f), and the sampled secant-ratio probe never exceeding the
-    declared Lipschitz oracle by more than a factor 1 + 1e-6. Oracle answers
-    are read through the ``problem.checked_*`` helpers, as in ``solve()``: a
-    NaN or wrong-size one raises. An optional oracle that declines at the
-    first point has its check skipped; one that declines later skips that
-    point (see ``_answers``).
-    """
-    if points < 1:
-        raise ValueError("points must be at least 1")
-    checks = []
-    starts = [random_start(obj, seed + i) for i in range(points)]
-
-    worst = None
-    for p in starts:
-        rep = fd_check_gradients(obj, p)
-        if worst is None or rep.max_rel_err > worst.max_rel_err:
-            worst = rep
-    fd_ok = worst.max_rel_err <= 1e-6
-    checks.append(
-        {
-            "name": "fd_gradients",
-            "status": "ok" if fd_ok else "fail",
-            "max_rel_err": worst.max_rel_err,
-            "worst_coordinate": list(worst.worst_index),
-            "points": points,
-        }
-    )
-
-    for block in ("y", "x"):
-        name = f"exact_min_{block}"
-        if (obj.n_y if block == "y" else obj.n_x) == 0:
-            checks.append({"name": name, "status": "skipped (empty block)"})
-            continue
-        answered = _answers(lambda p: checked_minimizer(obj, p, block), starts[:5])
-        if answered is None:
-            checks.append({"name": name, "status": "skipped (no oracle)"})
-            continue
-        worst_res, ok = 0.0, True
-        for p, q in answered:
-            res = math.sqrt(checked_grad(obj, q, block)[1])
-            base = max(1.0, math.sqrt(checked_grad(obj, p, block)[1]))
-            worst_res = max(worst_res, res / base)
-            f_p = checked_value(obj, p)
-            if res > 1e-10 * base or checked_value(obj, q) > f_p + check_tol_for(f_p):
-                ok = False
-        checks.append({"name": name, "status": "ok" if ok else "fail",
-                       "max_rel_residual": worst_res})
-
-    answered = _answers(lambda p: checked_lipschitz(obj, p.y), starts[:3]) if obj.n_x else None
-    if obj.n_x == 0:
-        checks.append({"name": "lipschitz_probe", "status": "skipped (empty block)"})
-    elif answered is None:
-        checks.append({"name": "lipschitz_probe", "status": "skipped (no oracle)"})
-    else:
-        worst_ratio, ok = 0.0, True
-        for p, declared in answered:
-            probe = probe_lipschitz_x(obj, p.y, (-2.0, 2.0), samples=100, seed=seed)
-            worst_ratio = max(worst_ratio, probe / declared)
-            if probe > declared * (1.0 + 1e-6):
-                ok = False
-        checks.append(
-            {"name": "lipschitz_probe", "status": "ok" if ok else "fail",
-             "max_probe_over_declared": worst_ratio}
-        )
-
-    passed = all(c["status"] != "fail" for c in checks)
-    return passed, {"checks": checks, "passed": passed}
-
-
-def cmd_check(cfg: RunConfig, points: int, seed: int, quiet: bool = False) -> int:
+def cmd_check(cfg: RunConfig, points: int, quiet: bool = False) -> int:
     try:
         obj = _build_objective(cfg)
-        passed, payload = run_oracle_checks(obj, points=points, seed=seed)
+        passed, payload = run_oracle_checks(obj, points=points, seed=cfg.solver.seed)
     except (BcdcertError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -493,7 +402,8 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run oracle cross-checks for a configured problem")
     p_check.add_argument("--config", required=True, help="INI config path ([problem] section)")
     p_check.add_argument("--points", type=int, default=20)
-    p_check.add_argument("--seed", type=int, default=None, help="override check seed")
+    p_check.add_argument("--seed", type=int, default=None,
+                         help="override problem and check-point seeds")
     p_check.add_argument("--quiet", action="store_true")
 
     p_rep = sub.add_parser("report", help="refold and audit a trace CSV")
@@ -518,8 +428,7 @@ def main(argv=None) -> int:
             solver=dataclasses.replace(cfg.solver, seed=args.seed),
         )
     if args.command == "check":
-        seed = args.seed if args.seed is not None else cfg.solver.seed
-        return cmd_check(cfg, points=args.points, seed=seed, quiet=args.quiet)
+        return cmd_check(cfg, points=args.points, quiet=args.quiet)
 
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_prefix=args.out)

@@ -374,23 +374,29 @@ def _build_rosenbrock(seed, params):
     return TwoBlockRosenbrock(float(params.get("scale", 100.0)))
 
 
+# family -> (builder, the params keys it reads)
 _FAMILIES = {
-    "tight_quadratic": _build_tight_quadratic,
-    "coupled_quadratic": _build_coupled_quadratic,
-    "matrix_factorization": _build_matrix_factorization,
-    "two_block_rosenbrock": _build_rosenbrock,
+    "tight_quadratic": (_build_tight_quadratic, {"l", "anchor", "g", "c"}),
+    "coupled_quadratic": (_build_coupled_quadratic, {"n_x", "n_y", "A", "B", "C", "a", "c"}),
+    "matrix_factorization": (_build_matrix_factorization, {"m", "n", "r", "target"}),
+    "two_block_rosenbrock": (_build_rosenbrock, {"scale"}),
 }
 
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
 
 
 def make_problem(spec: ProblemSpec) -> Objective:
-    """Instantiate a bundled family; same spec and seed give an identical oracle."""
-    builder = _FAMILIES.get(spec.family)
-    if builder is None:
+    """Instantiate a bundled family; same spec and seed give an identical oracle.
+
+    A params key the family does not read raises InvalidDimensions."""
+    if spec.family not in _FAMILIES:
         raise UnknownFamily(
             f"unknown problem family {spec.family!r}; known: {', '.join(FAMILY_NAMES)}"
         )
+    builder, keys = _FAMILIES[spec.family]
+    unknown = sorted(set(spec.params) - keys)
+    if unknown:
+        raise InvalidDimensions(f"unknown params for {spec.family}: {', '.join(unknown)}")
     return builder(spec.seed, dict(spec.params))
 
 

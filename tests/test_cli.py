@@ -10,16 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcdcert import cli
+from bcdcert import cli, numerics
 from bcdcert.cli import (
     RunConfig,
     _resolve_start,
     main,
     parse_config,
-    run_oracle_checks,
 )
 from bcdcert.certificate import IterationRecord
 from bcdcert.errors import ConfigError, DimensionMismatch, MissingExactMinimizer, NonFiniteValue
+from bcdcert.numerics import run_oracle_checks
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import CoupledQuadratic, make_problem
 from bcdcert.solver import SolverConfig
@@ -717,7 +717,13 @@ def test_check_flags_understated_curvature(tmp_path, capsys):
 def test_check_skips_empty_y_block(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TIGHT)
     assert run_cli(["check", "--config", cfg]) == 0
-    assert "skipped (empty block)" in capsys.readouterr().out
+    # one line per check, in check order, its payload keys in order
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "[  ok] fd_gradients: ok (max_rel_err=2.0466360410493966e-11, worst_coordinate=['x', 0], points=20)",
+        "[  --] exact_min_y: skipped (empty block)",
+        "[  ok] exact_min_x: ok (max_rel_residual=0.0)",
+        "[  ok] lipschitz_probe: ok (max_probe_over_declared=1.0)",
+    ]
 
 
 def test_check_skips_missing_oracles(tmp_path, capsys):
@@ -732,6 +738,25 @@ def test_check_quiet_still_prints_json(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.lstrip().startswith("{")
     assert json.loads(out)["passed"] is True
+
+
+def test_check_seed_overrides_the_problem_seed_too(tmp_path, capsys):
+    # `check --seed N` checks the instance `run --seed N` solves, at check
+    # points drawn from N, not the config's instance at new points
+    def check(problem_seed, *extra, solver=""):
+        text = f"[problem]\nfamily = coupled_quadratic\nseed = {problem_seed}\n{solver}"
+        cfg = write_cfg(tmp_path, text)
+        assert run_cli(["check", "--config", cfg, "--points", "2", "--quiet", *extra]) == 0
+        return capsys.readouterr().out
+
+    seeded = check(3, "--seed", "5")
+    assert seeded == check(5, "--seed", "5")
+    assert seeded == check(5, solver="[solver]\nseed = 5\n")
+    assert seeded != check(3, solver="[solver]\nseed = 5\n")
+
+
+def test_oracle_checks_have_one_home():
+    assert cli.run_oracle_checks is numerics.run_oracle_checks
 
 
 def test_check_asks_each_oracle_only_for_answers_it_uses(tmp_path, capsys, monkeypatch):

@@ -52,8 +52,17 @@ def test_fd_handles_empty_y_block():
 def test_fd_explicit_step_is_honored():
     obj = _random_coupled(0)
     p = BlockPoint(np.ones(obj.n_x), np.ones(obj.n_y))
-    rep = fd_check_gradients(obj, p, h=1e-6)
-    assert rep.h == 1e-6
+    probes = []
+
+    class Recording(CoupledQuadratic):
+        def value(self, q):
+            probes.append(np.concatenate([q.x, q.y]))
+            return super().value(q)
+
+    rep = fd_check_gradients(Recording(obj.A, obj.B, obj.C, obj.a, obj.c), p, h=1e-6)
+    # every coordinate is probed at exactly +h and -h, the default step being 1e-5
+    base = np.ones(obj.n_x + obj.n_y)
+    assert np.array_equal(probes, [q for e in 1e-6 * np.eye(base.size) for q in (base + e, base - e)])
     assert rep.max_rel_err <= 1e-6
 
 

@@ -2,12 +2,16 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import bcdcert
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -32,3 +36,19 @@ def test_readme_library_snippet_runs():
     passed, rate_bound, min_grad_sq = out.getvalue().split()
     assert passed == "True"
     assert float(min_grad_sq) <= float(rate_bound)
+
+
+def test_library_modules_load_neither_the_cli_nor_argparse():
+    # the oracle checks and the solver are library code: importing them must
+    # not pull in the command line
+    code = (
+        "import sys, bcdcert.numerics, bcdcert.solver; "
+        "print([m for m in ('bcdcert.cli', 'argparse') if m in sys.modules])"
+    )
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

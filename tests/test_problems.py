@@ -321,6 +321,20 @@ class TestFactory:
         with pytest.raises(InvalidDimensions):
             make_problem(ProblemSpec("matrix_factorization", params={"m": 0}))
 
+    @pytest.mark.parametrize(
+        "family,params,unknown",
+        [
+            ("tight_quadratic", {"l": 2.0, "L": 3.0}, "L"),
+            ("coupled_quadratic", {"nx": 9}, "nx"),
+            ("matrix_factorization", {"m": 5, "rank": 1, "seed": 2}, "rank, seed"),
+            ("two_block_rosenbrock", {"sclae": 2.0}, "sclae"),
+        ],
+    )
+    def test_unknown_params_are_refused(self, family, params, unknown):
+        # a misspelled key once built the family's default instance
+        with pytest.raises(InvalidDimensions, match=f"^unknown params for {family}: {unknown}$"):
+            make_problem(ProblemSpec(family, params=params))
+
     def test_random_start_matches_dimensions(self):
         obj = make_problem(ProblemSpec("matrix_factorization"))
         p = random_start(obj, 3)
