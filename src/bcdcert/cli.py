@@ -41,6 +41,7 @@ from .errors import (
 from .numerics import run_oracle_checks
 from .problem import BlockPoint
 from .problems import (
+    _FAMILIES,
     FAMILY_NAMES,
     LipschitzOverride,
     ProblemSpec,
@@ -52,13 +53,6 @@ from .strategies import BacktrackParams
 from .traceio import read_trace, verify_trace, write_json, write_trace
 
 _SECTIONS = ("problem", "solver", "output", "baseline")
-
-_FAMILY_KEYS = {
-    "tight_quadratic": {"l": "float", "anchor": "vector", "g": "vector", "c": "float"},
-    "coupled_quadratic": {"n_x": "int", "n_y": "int"},
-    "matrix_factorization": {"m": "int", "n": "int", "r": "int"},
-    "two_block_rosenbrock": {"scale": "float"},
-}
 
 # [solver] key -> kind: start_* land on RunConfig, backtrack_<field> on SolverConfig.backtrack,
 # the rest on the SolverConfig field of that name; a key left out keeps the dataclass default.
@@ -144,9 +138,11 @@ def parse_config(path: str) -> RunConfig:
             f"[problem] family {family!r} unknown; choose from {', '.join(FAMILY_NAMES)}"
         )
     prob_seed = _take(prob, "problem", "seed", "int", 0)
+    if prob_seed < 0:
+        raise ConfigError("[problem] seed must be non-negative")
     override = _take(prob, "problem", "lipschitz_override", "float")
     params = {key: _take(prob, "problem", key, kind)
-              for key, kind in _FAMILY_KEYS[family].items() if key in prob}
+              for key, kind in _FAMILIES[family][1].items() if kind is not None and key in prob}
     if prob:
         raise ConfigError(f"[problem] unknown keys for {family}: {', '.join(sorted(prob))}")
     spec = ProblemSpec(family=family, seed=prob_seed, params=params)
@@ -416,12 +412,15 @@ def main(argv=None) -> int:
         return cmd_report(args.trace, quiet=args.quiet)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            # exit 1 like any config error; argparse's own exit 2 means a failed certificate here
+            raise ConfigError("--seed must be non-negative")
         cfg = parse_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(
             cfg,
             spec=dataclasses.replace(cfg.spec, seed=args.seed),

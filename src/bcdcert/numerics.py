@@ -32,17 +32,6 @@ class FiniteDiffReport:
     worst_index: tuple  # (block, coordinate), e.g. ("x", 3)
 
 
-def _central_diff(obj, p, block, i, h):
-    base = p.x if block == "x" else p.y
-    e = np.zeros(base.size)
-    e[i] = h
-    if block == "x":
-        hi, lo = p.with_x(base + e), p.with_x(base - e)
-    else:
-        hi, lo = p.with_y(base + e), p.with_y(base - e)
-    return (checked_value(obj, hi) - checked_value(obj, lo)) / (2.0 * h)
-
-
 def fd_check_gradients(obj: Objective, p: BlockPoint, h: float | None = None) -> FiniteDiffReport:
     """Compare grad_x/grad_y against central differences, coordinate by coordinate.
 
@@ -60,11 +49,15 @@ def fd_check_gradients(obj: Objective, p: BlockPoint, h: float | None = None) ->
 
     max_rel = 0.0
     worst = ("x", -1) if p.n_x else ("y", -1)
-    for block, grad, base in (("x", gx, p.x), ("y", gy, p.y)):
-        for i in range(base.size):
-            h_i = h if h is not None else 1e-5 * max(1.0, abs(base[i]))
-            fd = _central_diff(obj, p, block, i, h_i)
-            rel_err = abs(fd - grad[i]) / max(1.0, abs(grad[i]))
+    for block, grad, base, adopt in (("x", gx, p.x, p._adopt_x), ("y", gy, p.y, p._adopt_y)):
+        step = np.zeros(base.size)
+        for i, (b_i, g_i) in enumerate(zip(base.tolist(), grad.tolist())):
+            h_i = h if h is not None else 1e-5 * max(1.0, abs(b_i))
+            step[i] = h_i
+            hi, lo = adopt(base + step), adopt(base - step)
+            step[i] = 0.0
+            fd = (checked_value(obj, hi) - checked_value(obj, lo)) / (2.0 * h_i)
+            rel_err = abs(fd - g_i) / max(1.0, abs(g_i))
             if rel_err >= max_rel:
                 max_rel = rel_err
                 worst = (block, i)
@@ -91,6 +84,7 @@ def probe_lipschitz_x(
     lo, hi = float(region[0]), float(region[1])
     if obj.n_x == 0 or not hi > lo:
         raise DegenerateRegion("sampling box has zero volume")
+    at_y = BlockPoint((), y)  # y validated once; each probe adopts its own x
 
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -100,8 +94,8 @@ def probe_lipschitz_x(
         dist = float(np.linalg.norm(xb - xa))
         if dist == 0.0:
             continue
-        ga, _ = checked_grad(obj, BlockPoint(xa, y), "x")
-        gb, _ = checked_grad(obj, BlockPoint(xb, y), "x")
+        ga, _ = checked_grad(obj, at_y._adopt_x(xa), "x")
+        gb, _ = checked_grad(obj, at_y._adopt_x(xb), "x")
         ratio = float(np.linalg.norm(gb - ga)) / dist
         if ratio > best:
             best = ratio

@@ -374,12 +374,16 @@ def _build_rosenbrock(seed, params):
     return TwoBlockRosenbrock(float(params.get("scale", 100.0)))
 
 
-# family -> (builder, the params keys it reads)
+# family -> (builder, {each params key it reads: its [problem] config kind, or None for
+# an array that only library callers pass})
 _FAMILIES = {
-    "tight_quadratic": (_build_tight_quadratic, {"l", "anchor", "g", "c"}),
-    "coupled_quadratic": (_build_coupled_quadratic, {"n_x", "n_y", "A", "B", "C", "a", "c"}),
-    "matrix_factorization": (_build_matrix_factorization, {"m", "n", "r", "target"}),
-    "two_block_rosenbrock": (_build_rosenbrock, {"scale"}),
+    "tight_quadratic": (_build_tight_quadratic,
+                        {"l": "float", "anchor": "vector", "g": "vector", "c": "float"}),
+    "coupled_quadratic": (_build_coupled_quadratic, {"n_x": "int", "n_y": "int", "A": None, "B": None,
+                                                     "C": None, "a": None, "c": None}),
+    "matrix_factorization": (_build_matrix_factorization,
+                             {"m": "int", "n": "int", "r": "int", "target": None}),
+    "two_block_rosenbrock": (_build_rosenbrock, {"scale": "float"}),
 }
 
 FAMILY_NAMES = tuple(sorted(_FAMILIES))
@@ -394,7 +398,7 @@ def make_problem(spec: ProblemSpec) -> Objective:
             f"unknown problem family {spec.family!r}; known: {', '.join(FAMILY_NAMES)}"
         )
     builder, keys = _FAMILIES[spec.family]
-    unknown = sorted(set(spec.params) - keys)
+    unknown = sorted(set(spec.params).difference(keys))
     if unknown:
         raise InvalidDimensions(f"unknown params for {spec.family}: {', '.join(unknown)}")
     return builder(spec.seed, dict(spec.params))

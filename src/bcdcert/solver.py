@@ -79,6 +79,8 @@ class SolverConfig:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

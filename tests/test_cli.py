@@ -21,7 +21,7 @@ from bcdcert.certificate import IterationRecord
 from bcdcert.errors import ConfigError, DimensionMismatch, MissingExactMinimizer, NonFiniteValue
 from bcdcert.numerics import run_oracle_checks
 from bcdcert.problem import BlockPoint
-from bcdcert.problems import CoupledQuadratic, make_problem
+from bcdcert.problems import _FAMILIES, FAMILY_NAMES, CoupledQuadratic, make_problem
 from bcdcert.solver import SolverConfig
 from bcdcert.traceio import read_trace, write_json
 
@@ -146,6 +146,33 @@ def test_each_solver_key_lands_on_its_field(tmp_path, key, raw, field, value):
     cfg = parse_config(write_cfg(tmp_path, COUPLED + f"[solver]\n{key} = {raw}\n"))
     got = operator.attrgetter(field)(cfg)
     assert got == value and type(got) is type(value)
+
+
+# a value of each [problem] config kind: as written, and as parsed
+KIND_VALUES = {"int": ("2", 2), "float": ("2.0", 2.0), "vector": ("1.0, -2.0", [1.0, -2.0])}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_every_family_key_with_a_kind_reaches_the_spec(tmp_path, family):
+    kinds = {key: kind for key, kind in _FAMILIES[family][1].items() if kind is not None}
+    lines = "".join(f"{key} = {KIND_VALUES[kind][0]}\n" for key, kind in kinds.items())
+    cfg = parse_config(write_cfg(tmp_path, f"[problem]\nfamily = {family}\n{lines}"))
+    expected = {key: KIND_VALUES[kind][1] for key, kind in kinds.items()}
+    assert cfg.spec.params == expected
+    assert {k: type(v) for k, v in cfg.spec.params.items()} == {k: type(v) for k, v in expected.items()}
+    make_problem(cfg.spec)
+
+
+LIBRARY_ONLY_KEYS = [(family, key) for family in FAMILY_NAMES
+                     for key, kind in _FAMILIES[family][1].items() if kind is None]
+
+
+@pytest.mark.parametrize("family,key", LIBRARY_ONLY_KEYS)
+def test_a_library_only_key_is_refused_in_a_config(tmp_path, capsys, family, key):
+    # configparser lowercases keys: an `A` arrives as `a`, still not a config key
+    cfg = write_cfg(tmp_path, f"[problem]\nfamily = {family}\n{key} = 1\n")
+    assert run_cli(["check", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: [problem] unknown keys for {family}: {key.lower()}\n"
 
 
 BAD_CONFIGS = [
@@ -530,6 +557,24 @@ def test_bad_backtrack_values_are_config_errors(tmp_path, capsys, command, line,
     cfg = write_cfg(tmp_path, COUPLED + f"[solver]\n{line}\n")
     assert run_cli([command, "--config", cfg]) == 1
     assert capsys.readouterr().err == f"config error: [solver] {message}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize(
+    "extra,flags,message",
+    [
+        ("seed = -2\n", [], "[problem] seed must be non-negative"),
+        ("[solver]\nseed = -2\n", [], "[solver] seed must be non-negative"),
+        ("", ["--seed", "-1"], "--seed must be non-negative"),
+    ],
+    ids=["problem", "solver", "flag"],
+)
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, command, extra, flags, message):
+    # numpy's "expected non-negative integer" once ended run in a traceback
+    cfg = write_cfg(tmp_path, "[problem]\nfamily = coupled_quadratic\n" + extra)
+    out = ["--out", str(tmp_path / "neg")] if command == "run" else []
+    assert run_cli([command, "--config", cfg, *flags, *out]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 # --- report command ----------------------------------------------------------

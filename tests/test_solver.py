@@ -321,6 +321,8 @@ def test_solver_config_validation():
         SolverConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(y_tol=-1.0)
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        SolverConfig(seed=-1)
 
 
 def test_run_result_iteration_count():
