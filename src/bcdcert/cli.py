@@ -48,7 +48,7 @@ from .problems import (
     make_problem,
     random_start,
 )
-from .solver import SolverConfig, StopReason, solve, solve_gd_baseline
+from .solver import SolverConfig, StopReason, _baseline_config, solve, solve_gd_baseline
 from .strategies import BacktrackParams
 from .traceio import read_trace, verify_trace, write_json, write_trace
 
@@ -183,6 +183,10 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"[baseline] unknown keys: {', '.join(sorted(base))}")
         if baseline_step is None:
             raise ConfigError("[baseline] step is required when the section is present")
+        try:
+            _baseline_config(baseline_step, baseline_iters)
+        except ValueError as exc:
+            raise ConfigError(f"[baseline] {exc}") from None
 
     return RunConfig(
         spec=spec,
@@ -301,6 +305,7 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
                 "f0": _num(base.certificate.f0),
                 "f_final": _num(base.certificate.f_final),
                 "T": base.certificate.num_steps,
+                "certified": base.certificate.passed(),
                 "stop_reason": base.stop_reason.value,
                 "error": _error_payload(base.error),
             }

@@ -393,6 +393,8 @@ def make_problem(spec: ProblemSpec) -> Objective:
     """Instantiate a bundled family; same spec and seed give an identical oracle.
 
     A params key the family does not read raises InvalidDimensions."""
+    if spec.seed < 0:
+        raise ValueError(f"spec.seed must be non-negative, got {spec.seed}")
     if spec.family not in _FAMILIES:
         raise UnknownFamily(
             f"unknown problem family {spec.family!r}; known: {', '.join(FAMILY_NAMES)}"
@@ -406,5 +408,7 @@ def make_problem(spec: ProblemSpec) -> Objective:
 
 def random_start(obj: Objective, seed: int = 0) -> BlockPoint:
     """Seeded standard-normal start matching the objective's dimensions."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     return BlockPoint(rng.standard_normal(obj.n_x), rng.standard_normal(obj.n_y))

@@ -32,13 +32,13 @@ import numpy as np
 
 from .certificate import RAW_FIELDS, Certificate, History, check_record, check_tol_for, fold
 from .errors import BcdcertError, NonFiniteValue
+# evaluate is unused here, but perfbench/tracing.py wraps bcdcert.solver.evaluate
 from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
 from .strategies import (
     BacktrackParams,
     backtracking_gradient_x,
     exact_min_x,
     fixed_step_gradient_x,
-    full_gradient_step,
     stationary_y,
 )
 
@@ -130,24 +130,6 @@ def _append_row(rows: array, t: int, row: tuple) -> None:
     rows.extend(row)
 
 
-def _result(rows, f0, point, stop, error, t_start, y_tol, init_residual=0.0) -> RunResult:
-    """Fold the recorded rows once and package the run; an error invalidates the certificate."""
-    history = History.from_rows(np.reshape(rows, (-1, len(RAW_FIELDS))))
-    history.suff_ok, _, _, cert = fold(history, f0)
-    cert.invalidated = error is not None
-    return RunResult(
-        final=point,
-        certificate=cert,
-        history=history,
-        stop_reason=stop,
-        wall_time=time.perf_counter() - t_start,
-        y_tol=y_tol,
-        check_tol=check_tol_for(cert.f0),
-        init_y_residual=init_residual,
-        error=error,
-    )
-
-
 def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
     """Run certified BCD from ``start`` until grad_tol, max_iters, or error."""
     t_start = time.perf_counter()
@@ -199,44 +181,59 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
         except BcdcertError as err:
             error = err
             stop = StopReason.ERROR
-    return _result(rows, f0, point, stop, error, t_start, y_tol, init_residual)
+    history = History.from_rows(np.reshape(rows, (-1, len(RAW_FIELDS))))
+    history.suff_ok, _, _, cert = fold(history, f0)
+    cert.invalidated = error is not None
+    return RunResult(final=point, certificate=cert, history=history, stop_reason=stop,
+                     wall_time=time.perf_counter() - t_start, y_tol=y_tol,
+                     check_tol=check_tol_for(cert.f0), init_y_residual=init_residual, error=error)
 
 
-def solve_gd_baseline(
-    obj: Objective, start: BlockPoint, step: float, max_iters: int
-) -> RunResult:
-    """Plain joint gradient descent, recorded in the same trace schema.
+class _JointView(Objective):
+    """``obj`` as one x block, (x, y), with n_y = 0 and lipschitz_x = 1/step.
 
-    Baseline for side-by-side reporting only. Records use the full gradient
-    norm and e_t = 1/step (the constant a 1/L-style step would certify);
-    nothing here is asserted, and divergence with a too-large step is an
-    expected outcome that comes back as stop_reason = ERROR.
+    Each block gradient is read through ``checked_grad``, so a block of the
+    wrong size is refused even when the joint size is right.
     """
-    if step < 0:
-        raise ValueError("step must be nonnegative")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    t_start = time.perf_counter()
-    obj.check_point(start)
-    e_t = 1.0 / step if step > 0 else 1.0
 
-    point = start
-    f0 = math.nan
-    rows = array("d")
-    stop = StopReason.MAX_ITERS
-    error: BcdcertError | None = None
-    # as in solve: one guard per call, not per oracle call
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            f_cur, gx, gy = evaluate(obj, point)
-            f0 = f_cur
-            for t in range(max_iters):
-                nxt = full_gradient_step(point, gx, gy, step)
-                f_next, gx_next, gy_next = evaluate(obj, nxt)
-                _append_row(rows, t, (f_cur, f_next, f_next, float(gx @ gx) + float(gy @ gy),
-                                      float(np.linalg.norm(gy)), e_t))
-                point, f_cur, gx, gy = nxt, f_next, gx_next, gy_next
-        except BcdcertError as err:
-            error = err
-            stop = StopReason.ERROR
-    return _result(rows, f0, point, stop, error, t_start, math.nan)
+    n_y = 0
+
+    def __init__(self, obj: Objective, step: float):
+        self.obj, self.n_x, self._lip = obj, obj.n_x + obj.n_y, 1.0 / step
+
+    def split(self, p: BlockPoint) -> BlockPoint:
+        return BlockPoint(p.x[: self.obj.n_x], p.x[self.obj.n_x :])
+
+    def value(self, p):
+        return self.obj.value(self.split(p))
+
+    def grad_x(self, p):
+        q = self.split(p)
+        return np.concatenate((checked_grad(self.obj, q, "x")[0], checked_grad(self.obj, q, "y")[0]))
+
+    def grad_y(self, p):
+        return np.zeros(0)
+
+    def lipschitz_x(self, y):
+        return self._lip
+
+
+def _baseline_config(step: float, max_iters: int) -> SolverConfig:
+    """The baseline's run; ValueError names a bad argument. ``grad_tol`` is the
+    smallest positive float, so only an exactly zero gradient stops it early."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and positive")
+    return SolverConfig(grad_tol=math.ulp(0.0), max_iters=max_iters)
+
+
+def solve_gd_baseline(obj: Objective, start: BlockPoint, step: float, max_iters: int) -> RunResult:
+    """Joint gradient descent with ``step``: ``solve()`` with ``fixed_step`` on
+    the one-block view of ``obj``, so each row records the joint gradient norm
+    and e_t = 1/step, and a step too large for f ends the run at its first
+    failed decrease. ``final`` comes back split into the two blocks."""
+    cfg = _baseline_config(step, max_iters)
+    obj.check_point(start)
+    view = _JointView(obj, step)
+    res = solve(view, BlockPoint(np.concatenate((start.x, start.y))), cfg)
+    res.final = view.split(res.final)
+    return res

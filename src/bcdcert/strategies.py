@@ -237,10 +237,3 @@ def stationary_y(obj: Objective, p: BlockPoint, f_before: float, y_tol: float, t
     if f_after > f_before + tol:
         raise InnerSolveFailed(f"y update increased f from {f_before:.6g} to {f_after:.6g}")
     return point, residual, f_after, gy_sq, l_hat
-
-
-def full_gradient_step(p: BlockPoint, gx: np.ndarray, gy: np.ndarray, step: float) -> BlockPoint:
-    """Joint gradient step on both blocks from gradients measured at p; baseline only."""
-    if step < 0:
-        raise ValueError("step must be nonnegative")
-    return BlockPoint(p.x - step * gx, p.y - step * gy)

@@ -329,15 +329,38 @@ def test_run_with_understated_curvature_fails_certification(tmp_path, capsys):
     assert "decrease" in capsys.readouterr().err
 
 
-def test_run_with_baseline_section(tmp_path):
+def test_run_with_baseline_section(tmp_path, capsys):
     cfg = write_cfg(tmp_path, COUPLED + "[baseline]\nstep = 0.01\nmax_iters = 50\n")
     out = str(tmp_path / "base")
     assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert (tmp_path / "base.baseline.trace.csv").exists()
     summary = json.load(open(out + ".summary.json"))
     assert summary["baseline"]["step"] == 0.01
-    assert summary["baseline"]["T"] >= 1
+    assert summary["baseline"]["T"] == 50
+    assert summary["baseline"]["certified"] is True
     assert (out + ".baseline.trace.csv") in summary["trace_files"]
+    # a safe-step baseline trace passes report's file-only audit
+    capsys.readouterr()
+    assert run_cli(["report", out + ".baseline.trace.csv"]) == 0
+    report = capsys.readouterr().out
+    assert "rows: 50" in report
+    assert "telescope bound at every prefix: True" in report
+
+
+@pytest.mark.parametrize("line,message", [
+    ("step = -0.5", "step must be finite and positive"),
+    ("step = 0", "step must be finite and positive"),
+    ("step = nan", "step must be finite and positive"),
+    ("step = inf", "step must be finite and positive"),
+    ("step = 0.01\nmax_iters = 0", "max_iters must be at least 1"),
+])
+def test_a_bad_baseline_value_is_a_config_error(tmp_path, capsys, line, message):
+    # once a traceback from solve_gd_baseline, after the main trace was
+    # written and before summary.json was
+    cfg = write_cfg(tmp_path, COUPLED + "[baseline]\n" + line + "\n")
+    assert run_cli(["run", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == f"config error: [baseline] {message}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.ini"]
 
 
 def test_run_baseline_divergence_is_recorded_not_fatal(tmp_path):
@@ -346,8 +369,10 @@ def test_run_baseline_divergence_is_recorded_not_fatal(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
     summary = json.load(open(out + ".summary.json"))
-    assert summary["baseline"]["error"]["type"] == "NonFiniteValue"
+    # the first step raises f: the baseline stops at that failed decrease
+    assert summary["baseline"]["error"]["type"] == "SufficientDecreaseViolated"
     assert summary["baseline"]["stop_reason"] == "error"
+    assert summary["baseline"]["certified"] is False
     assert summary["certified"] is True
 
 
@@ -508,8 +533,9 @@ def test_run_survives_an_oracle_that_breaks_mid_run(tmp_path):
 
 
 def test_run_baseline_whose_record_overflows_writes_a_summary(tmp_path):
-    # the baseline's joint gradient norm squared overflows in its first
-    # record: the run ends on a NonFiniteValue, not a bare ValueError
+    # the baseline's joint gradient norm squared overflows at its start, so
+    # its first required decrease is inf: the run ends on that failed test,
+    # not on a bare ValueError
     cfg = write_cfg(
         tmp_path,
         """
@@ -534,7 +560,8 @@ def test_run_baseline_whose_record_overflows_writes_a_summary(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     base = json.loads(Path(out + ".summary.json").read_text())["baseline"]
     assert base["stop_reason"] == "error" and base["T"] == 0
-    assert base["error"] == {"type": "NonFiniteValue", "message": "record 0 has non-finite fields"}
+    assert base["error"]["type"] == "SufficientDecreaseViolated"
+    assert base["error"]["message"].startswith("decrease 0 < required inf with declared L=1e+300")
 
 
 def test_run_config_error_exit(tmp_path, capsys):

@@ -13,7 +13,7 @@ from bcdcert.errors import (
     SingularSystem,
     UnknownFamily,
 )
-from bcdcert.numerics import fd_check_gradients
+from bcdcert.numerics import fd_check_gradients, run_oracle_checks
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import (
     FAMILY_NAMES,
@@ -370,3 +370,15 @@ class TestFactory:
         true = np.linalg.norm(Y, 2) ** 2
         assert lip >= true
         assert lip == pytest.approx(true, rel=1e-7)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_a_negative_seed_is_refused_by_name(family):
+    # numpy's own "expected non-negative integer" named no argument
+    with pytest.raises(ValueError, match=r"^spec\.seed must be non-negative, got -1$"):
+        make_problem(ProblemSpec(family, seed=-1))
+    obj = make_problem(ProblemSpec(family))
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -2$"):
+        random_start(obj, -2)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        run_oracle_checks(obj, points=2, seed=-1)

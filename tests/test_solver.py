@@ -345,16 +345,6 @@ def test_resolved_tolerances_are_recorded():
 # --- baseline ---------------------------------------------------------------
 
 
-def test_baseline_step_zero_is_a_stationary_trace():
-    obj = zoo_problem("coupled_quadratic", seed=1)
-    start = zoo_start(obj, 1)
-    res = solve_gd_baseline(obj, start, step=0.0, max_iters=5)
-    assert res.stop_reason is StopReason.MAX_ITERS
-    assert res.iterations == 5
-    assert all(r.f_after_y == res.certificate.f0 for r in res.history)
-    assert res.final == start
-
-
 def test_baseline_monotone_with_a_safe_step():
     obj = zoo_problem("coupled_quadratic", seed=2)
     lam_max = float(np.linalg.eigvalsh(obj.joint_hessian())[-1])
@@ -367,22 +357,47 @@ def test_baseline_monotone_with_a_safe_step():
 
 def test_baseline_diverges_with_a_block_only_step():
     # step sized for the x block alone (1/lambda_max(A) = 1) is far beyond
-    # 2/lambda_max(H) when C has eigenvalues near 100
+    # 2/lambda_max(H) when C has eigenvalues near 100: the first step raises
+    # f, and the run stops there, as solve() does on a too-small declared L
     obj = CoupledQuadratic(np.eye(2), np.zeros((2, 2)), 100.0 * np.eye(2))
     res = solve_gd_baseline(obj, BlockPoint([1.0, 1.0], [1.0, 1.0]), 1.0, 200)
     assert res.stop_reason is StopReason.ERROR
-    assert isinstance(res.error, NonFiniteValue)
-    assert res.certificate.invalidated
+    assert isinstance(res.error, SufficientDecreaseViolated)
+    assert "declared L=1;" in str(res.error)
+    assert res.iterations == 0 and res.certificate.invalidated
 
 
 def test_baseline_whose_gradient_norm_overflows_ends_on_an_error():
-    # ||grad||^2 = 1e400 is not a number a record can hold; the run returns
-    # with stop_reason = ERROR instead of raising check_record's ValueError
+    # ||grad||^2 = 1e400 overflows to inf, so the first step's required
+    # decrease is inf: the run returns with stop_reason = ERROR at that test
     obj = TightQuadratic(4.0, [1.0], [1e200])
     res = solve_gd_baseline(obj, BlockPoint([1.0], []), 1e-300, 3)
     assert res.stop_reason is StopReason.ERROR
-    assert isinstance(res.error, NonFiniteValue)
-    assert str(res.error) == "record 0 has non-finite fields"
+    assert isinstance(res.error, SufficientDecreaseViolated)
+    assert str(res.error).startswith("decrease 0 < required inf with declared L=1e+300")
+    assert res.iterations == 0 and res.certificate.invalidated
+
+
+class _SwappedBlockSizes(Objective):
+    """Gradients of the right joint size, (1 + 2), but of the wrong block sizes."""
+
+    n_x, n_y = 2, 1
+
+    def value(self, p):
+        return float(p.x @ p.x + p.y @ p.y)
+
+    def grad_x(self, p):
+        return 2.0 * p.x[:1]
+
+    def grad_y(self, p):
+        return np.concatenate((2.0 * p.x[1:], 2.0 * p.y))
+
+
+def test_baseline_refuses_a_block_gradient_of_the_wrong_size():
+    res = solve_gd_baseline(_SwappedBlockSizes(), BlockPoint([1.0, 2.0], [3.0]), 0.1, 5)
+    assert res.stop_reason is StopReason.ERROR
+    assert isinstance(res.error, DimensionMismatch)
+    assert str(res.error) == "grad_x has size 1, expected 2"
     assert res.iterations == 0 and res.certificate.invalidated
 
 
@@ -446,7 +461,16 @@ def test_baseline_comparison_is_reportable_not_asserted():
 
 def test_baseline_rejects_bad_arguments():
     obj = zoo_problem("coupled_quadratic", seed=0)
-    with pytest.raises(ValueError):
-        solve_gd_baseline(obj, zoo_start(obj, 0), step=-0.5, max_iters=5)
-    with pytest.raises(ValueError):
+    for step in (-0.5, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^step must be finite and positive$"):
+            solve_gd_baseline(obj, zoo_start(obj, 0), step=step, max_iters=5)
+    with pytest.raises(ValueError, match="^max_iters must be at least 1$"):
         solve_gd_baseline(obj, zoo_start(obj, 0), step=0.1, max_iters=0)
+
+
+def test_baseline_checks_the_start_before_joining_its_blocks():
+    # (3, 4) joins to the 7 entries of a (4, 3) point, and is still refused
+    obj = zoo_problem("coupled_quadratic", seed=0)
+    assert (obj.n_x, obj.n_y) == (4, 3)
+    with pytest.raises(DimensionMismatch):
+        solve_gd_baseline(obj, BlockPoint(np.ones(3), np.ones(4)), step=0.1, max_iters=5)

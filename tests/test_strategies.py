@@ -20,12 +20,12 @@ from bcdcert.problems import (
     TightQuadratic,
     TwoBlockRosenbrock,
 )
+from bcdcert.solver import StopReason, solve_gd_baseline
 from bcdcert.strategies import (
     BacktrackParams,
     backtracking_gradient_x,
     exact_min_x,
     fixed_step_gradient_x,
-    full_gradient_step,
     stationary_y,
 )
 
@@ -475,26 +475,16 @@ def test_stationary_y_rejects_non_finite_grad_y():
         stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams())
 
 
-# --- baseline step ----------------------------------------------------------
+# --- baseline step (solve_gd_baseline) ----------------------------------------------------------
 
 
-def test_full_gradient_step_hand_check():
+def test_one_baseline_step_is_the_joint_gradient_step_hand_check():
+    # grad_x = 1+1 = 2, grad_y = 1+2 = 3; the step divides by L = 1/step
     obj = CoupledQuadratic([[1.0]], [[1.0]], [[2.0]])
-    p = BlockPoint([1.0], [1.0])
-    q = full_gradient_step(p, obj.grad_x(p), obj.grad_y(p), step=0.1)
-    # grad_x = 1+1 = 2, grad_y = 1+2 = 3
-    np.testing.assert_allclose(q.x, [1.0 - 0.2])
-    np.testing.assert_allclose(q.y, [1.0 - 0.3])
-
-
-def test_full_gradient_step_zero_is_identity():
-    obj = CoupledQuadratic([[1.0]], [[1.0]], [[2.0]])
-    p = BlockPoint([1.0], [1.0])
-    assert full_gradient_step(p, obj.grad_x(p), obj.grad_y(p), 0.0) == p
-
-
-def test_full_gradient_step_rejects_negative():
-    obj = CoupledQuadratic([[1.0]], [[1.0]], [[2.0]])
-    p = BlockPoint([1.0], [1.0])
-    with pytest.raises(ValueError):
-        full_gradient_step(p, obj.grad_x(p), obj.grad_y(p), -0.1)
+    step = 0.3
+    res = solve_gd_baseline(obj, BlockPoint([1.0], [1.0]), step, max_iters=1)
+    assert res.stop_reason is StopReason.MAX_ITERS and res.iterations == 1
+    for got, want in ((res.final.x, 1.0 - step * 2.0), (res.final.y, 1.0 - step * 3.0)):
+        assert got.shape == (1,) and abs(got[0] - want) <= math.ulp(want)
+    row = res.history[0]
+    assert row.gx_norm_sq == 13.0 and row.gy_residual == 0.0 and row.e_t == 1.0 / step
