@@ -10,14 +10,14 @@ Turns the convergence analysis into machine checks along an actual run:
 
 A run's records are kept as columns (``History``), and ``fold`` decides all
 of the above in one pass of running sums, maxima and minima over them, for
-``solve()``, ``write_trace`` and the trace audit alike: each gets the same
-``Certificate``, so the run and the audit share one verdict. Two functions
-hold the paper's inequalities, ``sufficient_decrease`` (per step) and
-``rate_bound`` (the min-gradient rate), and each serves both the scalar
-callers and ``fold``'s columns. The gradient norm
-recorded per step is the x-block one; it stands in for the full gradient
-because the y block is stationary (to within the recorded ``gy_residual``)
-at the measurement point.
+``solve()`` and ``write_trace``. The trace audit decides with the standard
+library checker in ``bcdcert.audit``, which refolds a trace record by record
+to the same bits, so the run and the audit reach the same ``Certificate``.
+The per-step test, the tolerance and ``Certificate`` live in
+``bcdcert.audit`` and are re-exported here; ``rate_bound`` is the audit's
+rate-bound formula on columns. The gradient norm recorded per step is the
+x-block one; it stands in for the full gradient because the y block is
+stationary (to within the recorded ``gy_residual``) at the measurement point.
 """
 
 from __future__ import annotations
@@ -28,27 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, InsufficientHistory
-
-# The raw fields of a record, in trace column order; everything else is derived.
-RAW_FIELDS = ("f_before", "f_after_x", "f_after_y", "gx_norm_sq", "gy_residual", "e_t")
+from .audit import (
+    RAW_FIELDS,
+    Certificate,
+    check_record,
+    check_tol_for,
+    fit_slope,
+    sufficient_decrease,
+)
 
 # Rows turned into Python scalars at a time when a run is walked row by row.
 _BLOCK = 1024
-
-
-def check_record(t, *fields) -> None:
-    """Raise ValueError unless record t's raw fields, in RAW_FIELDS order, are valid.
-
-    Valid means finite, with both norms >= 0 and e_t > 0.
-    """
-    gx_norm_sq, gy_residual, e_t = fields[3:]
-    if not all(map(math.isfinite, fields)):
-        raise ValueError(f"record {t} has non-finite fields")
-    if gx_norm_sq < 0 or gy_residual < 0:
-        raise ValueError(f"record {t} has negative norms")
-    if not e_t > 0:
-        raise ValueError(f"record {t} has e_t = {e_t!r}, must be > 0")
 
 
 @dataclass(frozen=True)
@@ -149,80 +139,10 @@ class History:
         return NotImplemented
 
 
-@dataclass
-class Certificate:
-    """Aggregate of a record sequence, as ``fold`` computes it.
-
-    Fold identities: ``e_min``/``min_grad_sq`` start at +inf, ``e_max`` at 0.
-    ``telescope_ok``/``rate_bound_ok`` say the bound held at every prefix.
-    ``vacuous_steps`` counts the steps whose required decrease
-    ||gx||^2 / (2 e_t) is at most the tolerance, so that their check says
-    only that f did not rise by more than the tolerance; ``grad_floor``,
-    sqrt(2 e_max tol), is the gradient norm below which every step is such
-    a step.
-    ``invalidated`` marks a certificate whose run aborted mid-iteration; it is
-    returned for diagnosis but never counts as passing.
-    """
-
-    f0: float
-    f_final: float
-    num_steps: int = 0
-    running_sum: float = 0.0
-    e_max: float = 0.0
-    e_min: float = math.inf
-    min_grad_sq: float = math.inf
-    max_gy_residual: float = 0.0
-    telescope_ok: bool = True
-    rate_bound_ok: bool = True
-    all_steps_ok: bool = True
-    vacuous_steps: int = 0
-    grad_floor: float = 0.0
-    invalidated: bool = False
-
-    @classmethod
-    def fresh(cls, f0: float) -> "Certificate":
-        return cls(f0=float(f0), f_final=float(f0))
-
-    @property
-    def rate_bound(self) -> float:
-        """2 e_max (f0 - f_final) / T (see ``rate_bound``); NaN until a step has been recorded."""
-        if self.num_steps == 0:
-            return math.nan
-        return float(rate_bound(self.e_max, self.f0 - self.f_final, self.num_steps))
-
-    def passed(self) -> bool:
-        return (self.all_steps_ok and self.telescope_ok and self.rate_bound_ok
-                and not self.invalidated)
-
-
-def check_tol_for(f0: float) -> float:
-    """The run's one tolerance, 1e-10 * max(1, |f0|), from its first value.
-
-    Strategies accept steps, and the certificate and trace audit check them,
-    against this number; a trace carries f0 in its first row, so the audit
-    recovers it from the file alone.
-    """
-    return 1e-10 * max(1.0, abs(f0))
-
-
-def sufficient_decrease(f, f_next, g_sq, e, tol):
-    """f - f_next >= g_sq / (2 e) - tol: the per-step inequality, within tol.
-
-    The one decrease test: strategies accept a step with it and ``fold``
-    certifies every recorded step with it (elementwise, on columns), so both
-    decide alike.
-    """
-    return f - f_next >= g_sq / (2.0 * e) - tol
-
-
 def rate_bound(e_max, drop, steps):
-    """2 e_max drop / steps: the min-gradient rate bound after ``steps`` steps.
+    """``audit.rate_bound`` on columns, elementwise: 2 e_max drop / steps, and a zero drop's own zero.
 
-    The one rate-bound formula: ``Certificate.rate_bound`` applies it to
-    floats and ``fold`` to columns, elementwise. A zero drop gives a zero
-    bound (of the drop's sign) even when ``2 e_max`` overflows, where the
-    product alone would be inf * 0 = NaN; every other value is the plain
-    product. On arrays, call it under ``np.errstate`` as ``fold`` does.
+    On arrays, call it under ``np.errstate`` as ``fold`` does.
     """
     return np.where(drop == 0.0, drop, 2.0 * e_max * drop / steps)
 
@@ -275,19 +195,9 @@ def fold(history: History, f0: float = math.nan):
 
 
 def fit_rate(history: History) -> float:
-    """Least-squares slope of log(min-so-far gradient norm) vs log(t + 1).
+    """``audit.fit_slope`` of the history's gx_norm_sq column: the min-gradient decay slope.
 
-    A certified run's bound curve has slope exactly -1/2; an actual trace
-    may fall faster. Needs at least 10 records, all with positive
-    min-so-far norms (a norm of exactly zero means convergence, not a
-    power law).
+    Raises InsufficientHistory below 10 records and DegenerateFit when the
+    gradient norm hit exactly zero.
     """
-    g_sq = history.gx_norm_sq
-    if len(g_sq) < 10:
-        raise InsufficientHistory(f"{len(g_sq)} records; need at least 10")
-    norms = np.minimum.accumulate(np.sqrt(g_sq))
-    if np.any(norms == 0.0):
-        raise DegenerateFit("gradient norm hit exactly zero; run converged")
-    ts = np.log(np.arange(1, len(g_sq) + 1, dtype=float))
-    slope, _ = np.polyfit(ts, np.log(norms), 1)
-    return float(slope)
+    return fit_slope(history.gx_norm_sq.tolist())

@@ -7,10 +7,14 @@ Subcommands:
 - ``check``  finite-difference, minimizer-consistency, and Lipschitz-probe
              oracle checks for a configured problem (``numerics.run_oracle_checks``)
 - ``report`` re-read a trace CSV, refold the certificate, verify the
-             telescoped and rate bounds at every prefix, fit the decay slope
+             telescoped and rate bounds at every prefix, fit the decay slope;
+             all with the standard-library checker ``bcdcert.audit``
 
 Exit codes: 0 success and certified, 1 operational error (bad config,
 missing oracle, solver breakdown), 2 certificate or verification failure.
+
+Only ``run`` and ``check`` import the solver side (and with it numpy), so
+``report`` starts fast and needs no numpy.
 
 Config files are INI-style with sections [problem], [solver], [output] and
 optionally [baseline]; unknown sections or keys are errors, not warnings.
@@ -21,14 +25,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .certificate import fit_rate
+from . import audit
 from .errors import (
     BcdcertError,
     ConfigError,
@@ -38,19 +42,11 @@ from .errors import (
     SufficientDecreaseViolated,
     TamperDetected,
 )
-from .numerics import run_oracle_checks
-from .problem import BlockPoint
-from .problems import (
-    _FAMILIES,
-    FAMILY_NAMES,
-    LipschitzOverride,
-    ProblemSpec,
-    make_problem,
-    random_start,
-)
-from .solver import SolverConfig, StopReason, _baseline_config, solve, solve_gd_baseline
-from .strategies import BacktrackParams
-from .traceio import read_trace, verify_trace, write_json, write_trace
+
+if TYPE_CHECKING:
+    from .problem import BlockPoint
+    from .problems import ProblemSpec
+    from .solver import SolverConfig
 
 _SECTIONS = ("problem", "solver", "output", "baseline")
 
@@ -116,6 +112,10 @@ class RunConfig:
 
 
 def parse_config(path: str) -> RunConfig:
+    from .problems import _FAMILIES, FAMILY_NAMES, ProblemSpec
+    from .solver import SolverConfig, _baseline_config
+    from .strategies import BacktrackParams
+
     cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path)
@@ -201,6 +201,8 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _build_objective(cfg: RunConfig):
+    from .problems import LipschitzOverride, make_problem
+
     obj = make_problem(cfg.spec)
     if cfg.lipschitz_override is not None:
         obj = LipschitzOverride(obj, cfg.lipschitz_override)
@@ -208,6 +210,9 @@ def _build_objective(cfg: RunConfig):
 
 
 def _resolve_start(obj, cfg: RunConfig) -> BlockPoint:
+    from .problem import BlockPoint
+    from .problems import random_start
+
     if cfg.start_x is None and cfg.start_y is None:
         return random_start(obj, cfg.solver.seed)
     x = cfg.start_x
@@ -232,7 +237,7 @@ def _num(v):
 def _e_growth_flag(history) -> bool:
     """True when e_t grew strictly monotonically over a run of 10+ steps."""
     es = history.e_t
-    return len(es) >= 10 and bool(np.all(es[1:] > es[:-1]))
+    return len(es) >= 10 and bool((es[1:] > es[:-1]).all())
 
 
 def _error_payload(err: BcdcertError | None):
@@ -273,7 +278,27 @@ def _summarize(cfg: RunConfig, result) -> dict:
     return summary
 
 
+# Overflow or NaN inside an oracle's numpy arithmetic is caught where the
+# number enters the solver (a non-finite answer raises), so numpy's
+# RuntimeWarning would only be noise ahead of the clean "error:" line. One
+# guard around each solver-side command: entering np.errstate costs
+# microseconds, too much to pay on every oracle call.
+def _numpy_quiet(command):
+    @functools.wraps(command)
+    def quiet(*args, **kwargs):
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return command(*args, **kwargs)
+
+    return quiet
+
+
+@_numpy_quiet
 def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
+    from .solver import StopReason, solve, solve_gd_baseline
+    from .traceio import write_json, write_trace
+
     try:
         obj = _build_objective(cfg)
         start = _resolve_start(obj, cfg)
@@ -332,7 +357,10 @@ def cmd_run(cfg: RunConfig, quiet: bool = False) -> int:
     return code
 
 
+@_numpy_quiet
 def cmd_check(cfg: RunConfig, points: int, quiet: bool = False) -> int:
+    from .numerics import run_oracle_checks
+
     try:
         obj = _build_objective(cfg)
         passed, payload = run_oracle_checks(obj, points=points, seed=cfg.solver.seed)
@@ -354,8 +382,9 @@ def cmd_check(cfg: RunConfig, points: int, quiet: bool = False) -> int:
 
 def cmd_report(trace_path: str, quiet: bool = False) -> int:
     try:
-        rows = read_trace(trace_path)
-        cert = verify_trace(rows)
+        flags, values = audit.read_table(trace_path)
+        columns = audit.table_columns(values)
+        cert = audit.verify(flags, columns)
     except (OSError, SchemaMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -364,7 +393,7 @@ def cmd_report(trace_path: str, quiet: bool = False) -> int:
         return 2
     if not quiet:
         try:
-            slope = f"{fit_rate(rows):.4f}"
+            slope = f"{audit.fit_slope(columns['gx_norm_sq']):.4f}"
         except InsufficientHistory:
             slope = "insufficient history"
         except DegenerateFit as exc:
@@ -381,12 +410,6 @@ def cmd_report(trace_path: str, quiet: bool = False) -> int:
     return 0 if cert.passed() else 2
 
 
-# Overflow or NaN inside an oracle's numpy arithmetic is caught where the
-# number enters the solver (a non-finite answer raises), so numpy's
-# RuntimeWarning would only be noise ahead of the clean "error:" line. One
-# guard around the whole command: entering np.errstate costs microseconds,
-# too much to pay on every oracle call.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bcdcert",

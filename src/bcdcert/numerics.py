@@ -80,6 +80,8 @@ def probe_lipschitz_x(
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     y = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
     lo, hi = float(region[0]), float(region[1])
     if obj.n_x == 0 or not hi > lo:

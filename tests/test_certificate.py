@@ -260,6 +260,13 @@ def test_fit_rate_uses_the_running_minimum():
     assert slope == pytest.approx(-0.5, abs=0.02)
 
 
+def test_fit_rate_of_a_flat_running_minimum_is_exactly_zero():
+    # np.polyfit gave -1.8e-17 here, which report printed as "-0.0000"
+    records = [dataclasses.replace(r, gx_norm_sq=4.0) for r in power_law_history(50)]
+    slope = fit_rate(History.from_records(records))
+    assert slope == 0.0 and math.copysign(1.0, slope) == 1.0
+
+
 def test_fit_rate_needs_ten_records():
     with pytest.raises(InsufficientHistory):
         fit_rate(History.from_records(power_law_history(9)))

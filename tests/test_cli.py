@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcdcert import cli, numerics
+from bcdcert import cli
 from bcdcert.cli import (
     RunConfig,
     _resolve_start,
@@ -512,10 +512,11 @@ def test_run_survives_an_oracle_that_breaks_mid_run(tmp_path):
         """
         import sys
         import bcdcert.cli as cli
+        import bcdcert.problems as problems
         from conftest import BreaksAtCall
 
-        make = cli.make_problem
-        cli.make_problem = lambda spec: BreaksAtCall(make(spec), "grad_x", 3, False)
+        make = problems.make_problem
+        problems.make_problem = lambda spec: BreaksAtCall(make(spec), "grad_x", 3, False)
         sys.argv = ["bcdcert"] + sys.argv[1:]
         cli.entry()
         """
@@ -827,8 +828,14 @@ def test_check_seed_overrides_the_problem_seed_too(tmp_path, capsys):
     assert seeded != check(3, solver="[solver]\nseed = 5\n")
 
 
-def test_oracle_checks_have_one_home():
-    assert cli.run_oracle_checks is numerics.run_oracle_checks
+def test_oracle_checks_have_one_home(tmp_path, capsys, monkeypatch):
+    # check prints what numerics.run_oracle_checks returns and decides nothing itself
+    def checks(obj, points, seed):
+        return False, {"checks": [], "passed": False}
+
+    monkeypatch.setattr("bcdcert.numerics.run_oracle_checks", checks)
+    assert run_cli(["check", "--config", write_cfg(tmp_path, COUPLED), "--quiet"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"checks": [], "passed": False, "family": "coupled_quadratic"}
 
 
 def test_check_asks_each_oracle_only_for_answers_it_uses(tmp_path, capsys, monkeypatch):
@@ -845,7 +852,7 @@ def test_check_asks_each_oracle_only_for_answers_it_uses(tmp_path, capsys, monke
             setattr(obj, kind, counted)
         return obj
 
-    monkeypatch.setattr("bcdcert.cli.make_problem", counting)
+    monkeypatch.setattr("bcdcert.problems.make_problem", counting)
     cfg = write_cfg(tmp_path, COUPLED)
     assert run_cli(["check", "--config", cfg, "--points", "8", "--quiet"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
@@ -880,7 +887,7 @@ def test_oracle_checks_refuse_a_broken_oracle(
     cfg = write_cfg(tmp_path, COUPLED)
     with pytest.raises(error):
         run_oracle_checks(broken(parse_config(cfg).spec), points=3, seed=0)
-    monkeypatch.setattr("bcdcert.cli.make_problem", broken)
+    monkeypatch.setattr("bcdcert.problems.make_problem", broken)
     assert run_cli(["check", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -945,7 +952,7 @@ def test_check_skips_exact_min_x_of_a_singular_quadratic_and_probes_lipschitz(
     # A is PSD but singular: exact_min_x raises MissingExactMinimizer, which
     # once aborted the whole check with exit 1
     singular = CoupledQuadratic([[2.0, 0.0], [0.0, 0.0]], [[1.0], [0.5]], [[3.0]], [1.0, -1.0], [0.5])
-    monkeypatch.setattr("bcdcert.cli.make_problem", lambda spec: singular)
+    monkeypatch.setattr("bcdcert.problems.make_problem", lambda spec: singular)
     cfg = write_cfg(tmp_path, COUPLED)
     assert run_cli(["check", "--config", cfg, "--quiet"]) == 0
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}

@@ -8,6 +8,8 @@ below may only ever be lowered; the counts before this calibration are
 given for reference.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,18 @@ def test_calibration_changes_nothing_unless_the_first_trial_is_informative(obj, 
         assert plain.inner_evals == 1 and plain.e_t == params.l_init
     else:
         assert plain.e_t > params.l_init
+
+
+@pytest.mark.parametrize("side,calibrates", [("above", True), ("tie", False), ("below", False)])
+def test_the_first_trial_calibrates_only_when_informative_beyond_the_tolerance(side, calibrates):
+    # g = 1 at x = 0 and l = 0.5: trials at l_init = 1 and at 1/2 pass, 1/4
+    # fails. tol puts g^2 / (2 l_init) one ulp above it, on it or one ulp below.
+    obj, p = TightQuadratic(0.5, [0.0], [1.0]), BlockPoint([0.0])
+    f, gx, g_sq, _ = at(obj, p)
+    on = g_sq / 2.0
+    tol = {"above": math.nextafter(on, 0.0), "tie": on, "below": math.nextafter(on, math.inf)}[side]
+    upd = backtracking_gradient_x(obj, p, f, gx, g_sq, tol, BacktrackParams())
+    assert (upd.e_t, upd.inner_evals) == ((0.5, 3) if calibrates else (1.0, 1))
 
 
 def _from_l_init(update, n_before):

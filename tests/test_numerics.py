@@ -128,6 +128,13 @@ def test_probe_requires_two_samples():
         probe_lipschitz_x(obj, np.zeros(obj.n_y), (-1.0, 1.0), samples=1)
 
 
+def test_probe_refuses_a_negative_seed_by_name():
+    # numpy's own refusal, "expected non-negative integer", named no argument
+    obj = _random_coupled(0)
+    with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+        probe_lipschitz_x(obj, np.zeros(obj.n_y), (-1.0, 1.0), seed=-1)
+
+
 def test_probe_is_deterministic():
     obj = _random_coupled(2)
     y = np.zeros(obj.n_y)

@@ -411,6 +411,31 @@ def test_stationary_y_inner_descent_fallback():
     assert l_hat == 2.0 ** round(math.log2(l_hat)) >= BacktrackParams().l_init  # doubled from 1
 
 
+class _OffMinimizer(CoupledQuadratic):
+    """exact_min_y answers y = 0.75, off the minimizer."""
+
+    def exact_min_y(self, x):
+        return np.array([0.75])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "inexact"])
+def test_stationary_y_accepts_a_residual_equal_to_y_tol_and_not_one_ulp_above(exact):
+    # f = x^2/2 + y^2/2: grad_y = y, so the residual at y = 0.75 is exactly 0.75,
+    # where the exact path lands and where the inexact path starts
+    obj = (_OffMinimizer if exact else _HiddenMinimizer)([[1.0]], [[0.0]], [[1.0]])
+    p = BlockPoint([0.0], [2.0 if exact else 0.75])
+    f = obj.value(p)
+    q, res, *_ = stationary_y(obj, p, f, 0.75, check_tol_for(f), BacktrackParams())
+    assert res == 0.75 and q.y.tolist() == [0.75]
+    y_tol = math.nextafter(0.75, 0.0)
+    if exact:
+        with pytest.raises(InnerSolveFailed):
+            stationary_y(obj, p, f, y_tol, check_tol_for(f), BacktrackParams())
+    else:
+        q, res, *_ = stationary_y(obj, p, f, y_tol, check_tol_for(f), BacktrackParams())
+        assert res <= y_tol and q.y.tolist() != [0.75]
+
+
 class _WrongMinimizer(CoupledQuadratic):
     def exact_min_y(self, x):
         return np.ones(self.n_y) * 1e3
