@@ -168,24 +168,40 @@ def read_table(path: str) -> tuple[list[bool], array]:
     """Parse and validate a trace CSV: (suff_ok flags, float cells row by row).
 
     The float cells of row t are ``values[8 t : 8 t + 8]``, in
-    ``TABLE_FIELDS`` order. Schema violations raise SchemaMismatch naming
-    the first faulty line.
+    ``TABLE_FIELDS`` order. Schema violations, bytes that are not UTF-8
+    among them, raise SchemaMismatch naming the first faulty line.
     """
     flags: list[bool] = []
     values = array("d")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch("empty file, header row missing") from None
-        if header != _COLUMNS:
-            raise SchemaMismatch(f"bad header: {','.join(header)!r}")
-        for index, cells in enumerate(reader):
-            fault = _parse_row(cells, index, flags, values)
-            if fault is not None:
-                raise SchemaMismatch(fault)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaMismatch("empty file, header row missing") from None
+            if header != _COLUMNS:
+                raise SchemaMismatch(f"bad header: {','.join(header)!r}")
+            for index, cells in enumerate(reader):
+                fault = _parse_row(cells, index, flags, values)
+                if fault is not None:
+                    raise SchemaMismatch(fault)
+    except UnicodeDecodeError:
+        # the text reader decodes ahead of the line it parses, so find the line
+        raise SchemaMismatch(_first_undecodable_line(path)) from None
     return flags, values
+
+
+def _first_undecodable_line(path: str) -> str:
+    """The fault message for the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = "header row" if number == 0 else f"row {number - 1}"
+                return f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start} of the line)"
+    return "not UTF-8 text"
 
 
 def table_columns(values: array) -> dict:

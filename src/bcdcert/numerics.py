@@ -23,6 +23,13 @@ from .errors import DegenerateRegion, MissingExactMinimizer
 from .problem import BlockPoint, Objective, checked_grad, checked_lipschitz, checked_minimizer, checked_value
 from .problems import random_start
 
+# The gradient check's directional probes (see run_oracle_checks): how many
+# per block at each point after the first, and the error, relative to
+# max(1, ||g||), above which that point gets a coordinate scan. Honest
+# oracles of the bundled families stay below 5e-10 on these probes.
+DIRECTIONS = 2
+DIRECTION_TRIGGER = 1e-8
+
 
 @dataclass
 class FiniteDiffReport:
@@ -30,6 +37,34 @@ class FiniteDiffReport:
 
     max_rel_err: float
     worst_index: tuple  # (block, coordinate), e.g. ("x", 3)
+
+
+def _central_difference(obj: Objective, adopt, base: np.ndarray, step: np.ndarray, h: float) -> float:
+    """(f(base + step) - f(base - step)) / (2 h), with ``adopt`` putting a block into the point.
+
+    The derivative of f along ``step / h``, to second order in h; the
+    coordinate scan and the directional probe both estimate with it.
+    """
+    hi, lo = adopt(base + step), adopt(base - step)
+    return (checked_value(obj, hi) - checked_value(obj, lo)) / (2.0 * h)
+
+
+def _scan(obj: Objective, p: BlockPoint, gx: np.ndarray, gy: np.ndarray, h: float | None) -> FiniteDiffReport:
+    """``fd_check_gradients`` at p, given its checked block gradients."""
+    max_rel = 0.0
+    worst = ("x", -1) if p.n_x else ("y", -1)
+    for block, grad, base, adopt in (("x", gx, p.x, p._adopt_x), ("y", gy, p.y, p._adopt_y)):
+        step = np.zeros(base.size)
+        for i, (b_i, g_i) in enumerate(zip(base.tolist(), grad.tolist())):
+            h_i = h if h is not None else 1e-5 * max(1.0, abs(b_i))
+            step[i] = h_i
+            fd = _central_difference(obj, adopt, base, step, h_i)
+            step[i] = 0.0
+            rel_err = abs(fd - g_i) / max(1.0, abs(g_i))
+            if rel_err >= max_rel:
+                max_rel = rel_err
+                worst = (block, i)
+    return FiniteDiffReport(max_rel, worst)
 
 
 def fd_check_gradients(obj: Objective, p: BlockPoint, h: float | None = None) -> FiniteDiffReport:
@@ -44,24 +79,31 @@ def fd_check_gradients(obj: Objective, p: BlockPoint, h: float | None = None) ->
     if h is not None and not h > 0:
         raise ValueError("h must be positive")
     obj.check_point(p)
-    gx, _ = checked_grad(obj, p, "x")
-    gy, _ = checked_grad(obj, p, "y")
+    return _scan(obj, p, checked_grad(obj, p, "x")[0], checked_grad(obj, p, "y")[0], h)
 
-    max_rel = 0.0
-    worst = ("x", -1) if p.n_x else ("y", -1)
-    for block, grad, base, adopt in (("x", gx, p.x, p._adopt_x), ("y", gy, p.y, p._adopt_y)):
-        step = np.zeros(base.size)
-        for i, (b_i, g_i) in enumerate(zip(base.tolist(), grad.tolist())):
-            h_i = h if h is not None else 1e-5 * max(1.0, abs(b_i))
-            step[i] = h_i
-            hi, lo = adopt(base + step), adopt(base - step)
-            step[i] = 0.0
-            fd = (checked_value(obj, hi) - checked_value(obj, lo)) / (2.0 * h_i)
-            rel_err = abs(fd - g_i) / max(1.0, abs(g_i))
-            if rel_err >= max_rel:
-                max_rel = rel_err
-                worst = (block, i)
-    return FiniteDiffReport(max_rel, worst)
+
+def _directions_agree(obj: Objective, p: BlockPoint, gx: tuple, gy: tuple, rng) -> bool:
+    """Whether DIRECTIONS central differences per block, along random +-1 directions d, match g.d.
+
+    ``gx`` and ``gy`` are ``checked_grad``'s (g, ||g||^2) at p. Each
+    difference must be within DIRECTION_TRIGGER * max(1, ||g||) of g.d;
+    ||g|| is the standard deviation of g.d over the directions. The block
+    moves by h d, with h = 1e-5 * max(1, max |coordinate|). Stops at the
+    first miss.
+    """
+    for (grad, g_sq), base, adopt in ((gx, p.x, p._adopt_x), (gy, p.y, p._adopt_y)):
+        if base.size == 0:
+            continue
+        allowed = DIRECTION_TRIGGER * max(1.0, math.sqrt(g_sq))
+        h = 1e-5 * max(1.0, float(np.abs(base).max()))
+        for _ in range(DIRECTIONS):
+            d = rng.choice((-1.0, 1.0), size=base.size)
+            slope = float(grad @ d)
+            fd = _central_difference(obj, adopt, base, h * d, h)
+            # an overflowing g.d or ||g||^2 leaves nothing to compare: scan
+            if not (abs(fd - slope) <= allowed < math.inf):
+                return False
+    return True
 
 
 def probe_lipschitz_x(
@@ -137,12 +179,26 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
     NaN or wrong-size one raises. An optional oracle that declines at the
     first point has its check skipped; one that declines later skips that
     point (see ``_answers``).
+
+    The gradient check scans every coordinate (``fd_check_gradients``) at
+    the first point, and at another point only when a directional probe
+    there misses (``_directions_agree``). Its verdict, ``max_rel_err`` and
+    ``worst_coordinate`` come from the scans alone, under 1e-6, so it never
+    fails an oracle that scanning every point passes. It can miss an error
+    the first scan does not flag that stays under the trigger everywhere else.
     """
     if points < 1:
         raise ValueError("points must be at least 1")
     starts = [random_start(obj, seed + i) for i in range(points)]
 
-    worst = max((fd_check_gradients(obj, p) for p in starts), key=lambda rep: rep.max_rel_err)
+    rng = np.random.default_rng(seed)
+    scans = []
+    for i, p in enumerate(starts):
+        obj.check_point(p)
+        gx, gy = checked_grad(obj, p, "x"), checked_grad(obj, p, "y")
+        if i == 0 or not _directions_agree(obj, p, gx, gy, rng):
+            scans.append(_scan(obj, p, gx[0], gy[0], None))
+    worst = max(scans, key=lambda rep: rep.max_rel_err)
     checks = [
         {
             "name": "fd_gradients",

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from bcdcert import audit
 from bcdcert.certificate import RAW_FIELDS, Certificate, History, fold
 from bcdcert.cli import main
+from bcdcert.errors import SchemaMismatch
 from bcdcert.traceio import read_trace, verify_trace, write_trace
 
 from test_fold import bits, chained_rows, raw_rows
@@ -156,3 +157,16 @@ def test_report_with_numpy_blocked_prints_the_same(data_traces):
         without = python("-c", blocked, "report", str(path))
         assert plain.returncode == without.returncode == 0, without.stderr
         assert without.stdout == plain.stdout and without.stderr == ""
+
+
+def test_report_refuses_a_trace_that_is_not_utf8(tmp_path, capsys):
+    # the text reader's UnicodeDecodeError once ended report in a traceback
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(GOLDEN.read_bytes().replace(b"\n0,", b"\n\xff\xfe0,", 1))
+    with pytest.raises(SchemaMismatch, match=r"^row 0: not UTF-8 text"):
+        read_trace(str(bad))
+    assert main(["report", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: row 0: not UTF-8 text")
+    blocked = python("-c", "import sys; sys.modules['numpy'] = None; from bcdcert.cli import main; "
+                     "sys.exit(main(sys.argv[1:]))", "report", str(bad))
+    assert blocked.returncode == 1 and blocked.stderr.startswith("error: row 0: not UTF-8 text")

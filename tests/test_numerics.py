@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from bcdcert import numerics
 from bcdcert.errors import DegenerateRegion, DimensionMismatch, NonFiniteValue
-from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
-from bcdcert.problem import BlockPoint
-from bcdcert.problems import CoupledQuadratic, TightQuadratic
+from bcdcert.numerics import DIRECTIONS, fd_check_gradients, probe_lipschitz_x, run_oracle_checks
+from bcdcert.problem import BlockPoint, Objective
+from bcdcert.problems import FAMILY_NAMES, CoupledQuadratic, ProblemSpec, TightQuadratic, make_problem, random_start
 
 from conftest import ZOO_PARAMS, BreaksAtCall, zoo_problem
 
@@ -86,6 +87,95 @@ def test_lipschitz_probe_refuses_a_nan_gradient():
     bad = BreaksAtCall(_random_coupled(3), "grad_x", 1, wrong_size=False)
     with pytest.raises(NonFiniteValue):
         probe_lipschitz_x(bad, np.zeros(3), (-1.0, 1.0), samples=10)
+
+
+# --- the check's gradient policy ---------------------------------------------
+
+
+class WrongGradients(Objective):
+    """``inner``'s value, with both gradients passed through ``wrong(block, g, p)``; no optional oracles."""
+
+    def __init__(self, inner, wrong):
+        self.inner, self.wrong = inner, wrong
+        self.n_x, self.n_y = inner.n_x, inner.n_y
+
+    def value(self, p):
+        return self.inner.value(p)
+
+    def grad_x(self, p):
+        return self.wrong("x", np.array(self.inner.grad_x(p)), p)
+
+    def grad_y(self, p):
+        return self.wrong("y", np.array(self.inner.grad_y(p)), p)
+
+
+@pytest.mark.parametrize(
+    "family,params,gradient_values,minimizer_values",
+    [
+        # 12 800 when every one of the 8 points was scanned
+        ("matrix_factorization", {"m": 60, "n": 40, "r": 8}, 1656, 20),
+        ("two_block_rosenbrock", {"scale": 100.0}, 60, 10),  # exact_min_y only
+        ("tight_quadratic", ZOO_PARAMS["tight_quadratic"], 34, 10),  # no y block
+    ],
+)
+def test_check_scans_only_the_first_point_of_an_honest_oracle(family, params, gradient_values, minimizer_values):
+    # 2 (n_x + n_y) values for the scan at the first point, then 2 per
+    # direction and block at each other point; the minimizer checks add f
+    # at 5 points and at their block minimizers
+    obj = make_problem(ProblemSpec(family, seed=1, params=dict(params)))
+    calls = []
+    value = obj.value
+    obj.value = lambda p: calls.append(p) or value(p)
+    passed, _ = run_oracle_checks(obj, points=8, seed=1)
+    blocks = (obj.n_x > 0) + (obj.n_y > 0)
+    assert gradient_values == 2 * (obj.n_x + obj.n_y) + 2 * DIRECTIONS * blocks * (8 - 1)
+    assert passed and len(calls) == gradient_values + minimizer_values
+
+
+@pytest.mark.parametrize("k", [0.1, 0.01, 10.0])
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_check_fails_a_scaled_gradient(family, k):
+    bad = WrongGradients(zoo_problem(family), lambda block, g, p: k * g)
+    passed, payload = run_oracle_checks(bad, points=8, seed=0)
+    assert not passed and payload["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "family,params,block,index,error",
+    [
+        ("coupled_quadratic", {"n_x": 4, "n_y": 3}, "x", 2, 0.5),
+        ("matrix_factorization", {"m": 30, "n": 20, "r": 5}, "y", 17, 1e-4),
+    ],
+)
+def test_check_scans_a_point_whose_directions_disagree(family, params, block, index, error):
+    # the corruption is absent at the first point, whose scan passes, so only
+    # a directional probe at a later point can send the check to a scan there
+    obj = make_problem(ProblemSpec(family, seed=3, params=params))
+    first = random_start(obj, 3)
+
+    def corrupt(b, g, p):
+        if b == block and not (np.array_equal(p.x, first.x) and np.array_equal(p.y, first.y)):
+            g[index] += error
+        return g
+
+    bad = WrongGradients(obj, corrupt)
+    assert fd_check_gradients(bad, first).max_rel_err <= 1e-6
+    passed, payload = run_oracle_checks(bad, points=8, seed=3)
+    fd = payload["checks"][0]
+    assert not passed and fd["status"] == "fail"
+    assert fd["worst_coordinate"] == [block, index]
+
+
+def test_honest_zoo_passes_with_one_scan(monkeypatch):
+    scans = []
+    scan = numerics._scan
+    monkeypatch.setattr(numerics, "_scan", lambda *args: scans.append(args) or scan(*args))
+    for family in ZOO_PARAMS:
+        for seed in range(10):
+            scans.clear()
+            passed, payload = run_oracle_checks(zoo_problem(family, seed), points=8, seed=seed)
+            assert passed, (family, seed, payload)
+            assert len(scans) == 1, (family, seed)
 
 
 # --- Lipschitz probe --------------------------------------------------------

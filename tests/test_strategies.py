@@ -450,21 +450,34 @@ def test_stationary_y_rejects_a_wrong_exact_minimizer():
         stationary_y(obj, p, f, 1e-10, check_tol_for(f), BacktrackParams())
 
 
-@pytest.mark.parametrize("short,accepted", [(0.5, True), (2.0, False)], ids=["within", "beyond"])
-def test_stationary_y_allows_the_rise_the_step_check_allows(short, accepted):
+_RISE_TOL = 2.0 ** -20  # a power of two: f_before = top - _RISE_TOL below rounds nothing
+
+
+@pytest.mark.parametrize(
+    "top,accepted",
+    [
+        (lambda f: f + 0.5 * _RISE_TOL, True),
+        (lambda f: f - _RISE_TOL, False),
+        (lambda f: f, True),  # f_after == f_before + tol exactly
+        (lambda f: math.nextafter(f, -math.inf), False),  # f_after one ulp above it
+    ],
+    ids=["within", "beyond", "equal", "one_ulp_beyond"],
+)
+def test_stationary_y_allows_the_rise_the_step_check_allows(top, accepted):
     # p already has y at its minimizer, so the y-solve lands on p again; a
-    # stated f_before below f(p) makes that a rise of short * tol.
+    # stated f_before below f(p) makes that a rise, with f_before + tol = top(f(p)).
     obj = zoo_problem("coupled_quadratic", seed=10)
     x = np.ones(obj.n_x)
     p = BlockPoint(x, obj.exact_min_y(x))
-    tol = 1e-6
-    f_before = obj.value(p) - short * tol
-    assert _step_check(f_before, f_before, obj.value(p), 0.0, 1.0, tol) is accepted
+    f_after = obj.value(p)
+    f_before = top(f_after) - _RISE_TOL
+    assert f_before + _RISE_TOL == top(f_after)
+    assert _step_check(f_before, f_before, f_after, 0.0, 1.0, _RISE_TOL) is accepted
     if accepted:
-        assert stationary_y(obj, p, f_before, 1e-8, tol, BacktrackParams())[2] == obj.value(p)
+        assert stationary_y(obj, p, f_before, 1e-8, _RISE_TOL, BacktrackParams())[2] == f_after
     else:
         with pytest.raises(InnerSolveFailed):
-            stationary_y(obj, p, f_before, 1e-8, tol, BacktrackParams())
+            stationary_y(obj, p, f_before, 1e-8, _RISE_TOL, BacktrackParams())
 
 
 def test_stationary_y_tol_validation():
