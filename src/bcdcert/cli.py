@@ -28,6 +28,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -368,15 +369,24 @@ def cmd_check(cfg: RunConfig, points: int, quiet: bool = False) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload["family"] = cfg.spec.family
-    if not quiet:
-        for chk in payload["checks"]:
-            status = chk["status"]
-            tag = "ok" if status == "ok" else ("--" if status.startswith("skipped") else "FAIL")
-            detail = ", ".join(
-                f"{k}={v}" for k, v in chk.items() if k not in ("name", "status")
-            )
-            print(f"[{tag:>4}] {chk['name']}: {status}" + (f" ({detail})" if detail else ""))
-    print(json.dumps(payload, indent=1, sort_keys=True))
+    try:
+        if not quiet:
+            for chk in payload["checks"]:
+                status = chk["status"]
+                tag = "ok" if status == "ok" else ("--" if status.startswith("skipped") else "FAIL")
+                detail = ", ".join(
+                    f"{k}={v}" for k, v in chk.items() if k not in ("name", "status")
+                )
+                print(f"[{tag:>4}] {chk['name']}: {status}" + (f" ({detail})" if detail else ""))
+        print(json.dumps(payload, indent=1, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`bcdcert check ... | head -3`). What
+        # it did not read goes to devnull, which also takes the interpreter's
+        # last flush, so nothing reaches stderr; the exit code is the verdict.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if passed else 2
 
 

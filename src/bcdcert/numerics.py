@@ -147,7 +147,7 @@ def probe_lipschitz_x(
 
 
 def _answers(checks, name, size, read, points):
-    """``(p, read(p))`` for each of ``points`` where an optional oracle answers
+    """``(i, read(points[i]))`` for each point where an optional oracle answers
     (neither returns None nor raises MissingExactMinimizer). None when check
     ``name`` is skipped instead, which is then appended to ``checks``: its
     block is empty (``size`` 0) or the oracle declines at the first point."""
@@ -161,7 +161,7 @@ def _answers(checks, name, size, read, points):
         except MissingExactMinimizer:
             answer = None
         if answer is not None:
-            answered.append((p, answer))
+            answered.append((i, answer))
         elif i == 0:
             checks.append({"name": name, "status": "skipped (no oracle)"})
             return None
@@ -193,9 +193,11 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
 
     rng = np.random.default_rng(seed)
     scans = []
+    grads = []  # checked_grad's (g, ||g||^2) per block at each start, for the minimizer checks
     for i, p in enumerate(starts):
         obj.check_point(p)
         gx, gy = checked_grad(obj, p, "x"), checked_grad(obj, p, "y")
+        grads.append({"x": gx, "y": gy})
         if i == 0 or not _directions_agree(obj, p, gx, gy, rng):
             scans.append(_scan(obj, p, gx[0], gy[0], None))
     worst = max(scans, key=lambda rep: rep.max_rel_err)
@@ -209,6 +211,7 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
         }
     ]
 
+    f_starts = {}  # f at each start, read once for both blocks' checks
     for block, size in (("y", obj.n_y), ("x", obj.n_x)):
         name = f"exact_min_{block}"
         answered = _answers(checks, name, size,
@@ -216,11 +219,13 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
         if answered is None:
             continue
         worst_res, ok = 0.0, True
-        for p, q in answered:
+        for i, q in answered:
             res = math.sqrt(checked_grad(obj, q, block)[1])
-            base = max(1.0, math.sqrt(checked_grad(obj, p, block)[1]))
+            base = max(1.0, math.sqrt(grads[i][block][1]))
             worst_res = max(worst_res, res / base)
-            f_p = checked_value(obj, p)
+            if i not in f_starts:
+                f_starts[i] = checked_value(obj, starts[i])
+            f_p = f_starts[i]
             if res > 1e-10 * base or checked_value(obj, q) > f_p + check_tol_for(f_p):
                 ok = False
         checks.append({"name": name, "status": "ok" if ok else "fail",
@@ -230,8 +235,8 @@ def run_oracle_checks(obj, points: int = 20, seed: int = 0) -> tuple[bool, dict]
                         lambda p: checked_lipschitz(obj, p.y), starts[:3])
     if answered is not None:
         worst_ratio, ok = 0.0, True
-        for p, declared in answered:
-            probe = probe_lipschitz_x(obj, p.y, (-2.0, 2.0), samples=100, seed=seed)
+        for i, declared in answered:
+            probe = probe_lipschitz_x(obj, starts[i].y, (-2.0, 2.0), samples=100, seed=seed)
             worst_ratio = max(worst_ratio, probe / declared)
             if probe > declared * (1.0 + 1e-6):
                 ok = False

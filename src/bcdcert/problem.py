@@ -28,9 +28,15 @@ def _squared_norm(arr: np.ndarray) -> float:
     scan, which tells a bad entry (NaN comes back) from finite entries whose
     squares overflow (+inf comes back). ``np.vdot`` calls the same BLAS dot
     as ``arr @ arr``, so the sum has the same bits, but unlike ``@``, ``dot``
-    and ``sum`` it raises no overflow warning.
+    and ``sum`` it raises no overflow warning. A one-entry array, the blocks
+    of a scalar problem, skips the call: the dot of one term is the one
+    rounded product ``v * v``, which Python floats give without a warning.
     """
-    sq = float(np.vdot(arr, arr))
+    if arr.size == 1:
+        v = arr.item(0)
+        sq = v * v
+    else:
+        sq = float(np.vdot(arr, arr))
     if math.isfinite(sq) or np.isfinite(arr).all():
         return sq
     return math.nan

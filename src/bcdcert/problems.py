@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,17 @@ class CoupledQuadratic(Objective):
 
     exact_min_y solves C y = -(B'x + c); exact_min_x solves A x = -(B y + a)
     when A is PD. lipschitz_x is the exact λ_max(A), constant in y.
+
+    The instance owns its matrices: A, B and C are read-only views of the
+    joint Hessian H = [[A, B], [B', C]], copied once in ``__init__``. They
+    never change, so the solves are done once too: exact_min_y(x) is the
+    affine map K_y x + k_y, with K_y = -C⁻¹B' and k_y = -C⁻¹c, and
+    exact_min_x(y) is K_x y + k_x, with K_x = -A⁻¹B and k_x = -A⁻¹a. Each
+    map is built on its oracle's first call, not in ``__init__``, so an
+    instance that is never asked for a minimizer pays for no solve. Two
+    threads making a first call at once may both build it; they build the
+    same arrays, and either copy serves. value is one product with H:
+    z.(0.5 H z + h), with z = (x, y) and h = (a, c).
     """
 
     def __init__(self, A, B, C, a=None, c=None):
@@ -108,16 +120,30 @@ class CoupledQuadratic(Objective):
         self._lip_x = float(np.linalg.eigvalsh(self.A)[-1])
         # decided once: the instance is immutable, and exact_min_x needs it per call
         self._a_pd = _positive_definite(self.A)
+        # owned and read-only, so no caller's array can change under the cached maps
+        H = np.empty((n_x + n_y, n_x + n_y))
+        H[:n_x, :n_x], H[:n_x, n_x:], H[n_x:, :n_x], H[n_x:, n_x:] = self.A, self.B, self.B.T, self.C
+        H.setflags(write=False)
+        self._H, self._h = H, np.concatenate((self.a, self.c))
+        self.A, self.B, self.C = H[:n_x, :n_x], H[:n_x, n_x:], H[n_x:, n_x:]
+
+    @cached_property
+    def _min_y(self):
+        """(K_y, k_y), both views of one solve with C."""
+        S = np.linalg.solve(self.C, -np.column_stack((self.B.T, self.c)))
+        return S[:, : self.n_x], S[:, self.n_x]
+
+    @cached_property
+    def _min_x(self):
+        """(K_x, k_x), both views of one solve with A; only built when A is PD."""
+        S = np.linalg.solve(self.A, -np.column_stack((self.B, self.a)))
+        return S[:, : self.n_y], S[:, self.n_y]
 
     def value(self, p: BlockPoint) -> float:
-        x, y = p.x, p.y
-        return float(
-            0.5 * x @ self.A @ x
-            + x @ self.B @ y
-            + 0.5 * y @ self.C @ y
-            + self.a @ x
-            + self.c @ y
-        )
+        z = np.concatenate((p.x, p.y))
+        # z @ (0.5 * (H @ z) + h): ``dot`` makes the same BLAS calls as ``@``
+        # without its ufunc dispatch, which costs more than the product here
+        return float(z.dot(0.5 * self._H.dot(z) + self._h))
 
     def grad_x(self, p: BlockPoint) -> np.ndarray:
         return self.A @ p.x + self.B @ p.y + self.a
@@ -126,18 +152,20 @@ class CoupledQuadratic(Objective):
         return self.B.T @ p.x + self.C @ p.y + self.c
 
     def exact_min_y(self, x):
-        return np.linalg.solve(self.C, -(self.B.T @ x + self.c))
+        K, k = self._min_y
+        return K @ x + k
 
     def exact_min_x(self, y):
         if not self._a_pd:
             raise MissingExactMinimizer("A is not positive definite")
-        return np.linalg.solve(self.A, -(self.B @ y + self.a))
+        K, k = self._min_x
+        return K @ y + k
 
     def lipschitz_x(self, y):
         return self._lip_x
 
     def joint_hessian(self) -> np.ndarray:
-        return np.block([[self.A, self.B], [self.B.T, self.C]])
+        return self._H.copy()
 
     def lower_bound(self):
         try:

@@ -158,25 +158,31 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             )
             f0 = f_cur
             check_tol = check_tol_for(f0)
+            strategy, grad_tol, backtrack, extend = cfg.x_strategy, cfg.grad_tol, cfg.backtrack, rows.extend
             for t in range(cfg.max_iters):
                 gx, gx_sq = checked_grad(obj, point, "x")
-                if math.sqrt(gx_sq + gy_sq) <= cfg.grad_tol:
+                if math.sqrt(gx_sq + gy_sq) <= grad_tol:
                     stop = StopReason.GRAD_TOL
                     break
-                if cfg.x_strategy == "fixed_step":
+                if strategy == "fixed_step":
                     upd = fixed_step_gradient_x(obj, point, f_cur, gx, gx_sq, check_tol)
-                elif cfg.x_strategy == "exact_min":
+                elif strategy == "exact_min":
                     upd = exact_min_x(obj, point, f_cur, gx, gx_sq, check_tol)
                 else:
                     upd = backtracking_gradient_x(
-                        obj, point, f_cur, gx, gx_sq, check_tol, cfg.backtrack, l_x
+                        obj, point, f_cur, gx, gx_sq, check_tol, backtrack, l_x
                     )
                     if upd.inner_evals:
                         l_x = upd.e_t
                 point, residual, f_after_y, gy_sq, l_y = stationary_y(
-                    obj, upd.point, upd.f_next, y_tol, check_tol, cfg.backtrack, l_y
+                    obj, upd.point, upd.f_next, y_tol, check_tol, backtrack, l_y
                 )
-                _append_row(rows, t, (f_cur, upd.f_next, f_after_y, gx_sq, residual, upd.e_t))
+                row = (f_cur, upd.f_next, f_after_y, gx_sq, residual, upd.e_t)
+                # _append_row's own test, inline: only a row it would check pays the call
+                if math.isfinite(gx_sq + residual + upd.e_t):
+                    extend(row)
+                else:
+                    _append_row(rows, t, row)
                 f_cur = f_after_y
         except BcdcertError as err:
             error = err

@@ -145,24 +145,15 @@ def _line_search(obj, p, block, f, g, g_sq, tol, params, l_hat=None):
     that passed. A search from a carried estimate only grows it.
     """
     adopt, v = (p._adopt_x, p.x) if block == "x" else (p._adopt_y, p.y)
-
-    def attempt(l_hat):
-        trial = adopt(v - g / l_hat)
-        try:
-            f_try = checked_value(obj, trial)
-        except NonFiniteValue:
-            f_try = math.inf  # fails the test below: a rejection
-        # tol keeps tiny gradients workable: once ||g||^2/(2L) falls under
-        # the roundoff of the f subtraction, an exact test would reject
-        # every estimate and exhaust.
-        return trial, f_try, sufficient_decrease(f, f_try, g_sq, l_hat, tol)
-
+    # tol keeps tiny gradients workable: once ||g||^2/(2L) falls under the
+    # roundoff of the f subtraction, an exact test would reject every
+    # estimate and exhaust.
     calibrate = l_hat is None
     if calibrate:
         l_hat = params.l_init
     for trials in range(1, params.max_rejects + 2):
-        trial, f_try, passed = attempt(l_hat)
-        if passed:
+        trial, f_try = _trial(obj, adopt, v, g, l_hat)
+        if sufficient_decrease(f, f_try, g_sq, l_hat, tol):
             break
         l_hat *= params.growth
     else:
@@ -173,11 +164,21 @@ def _line_search(obj, p, block, f, g, g_sq, tol, params, l_hat=None):
     if calibrate and trials == 1 and g_sq / (2.0 * l_hat) > tol:
         for trials in range(2, params.max_rejects + 2):
             lower = l_hat / params.growth
-            lower_trial, f_lower, passed = attempt(lower)
-            if not passed:
+            lower_trial, f_lower = _trial(obj, adopt, v, g, lower)
+            if not sufficient_decrease(f, f_lower, g_sq, lower, tol):
                 break
             trial, f_try, l_hat = lower_trial, f_lower, lower
     return trial, f_try, l_hat, trials
+
+
+def _trial(obj, adopt, v, g, l_hat):
+    """The point with its block moved from v to v - g / l_hat (``adopt`` puts the
+    block in), and f there; inf when f is not finite, which fails any decrease test."""
+    trial = adopt(v - g / l_hat)
+    try:
+        return trial, checked_value(obj, trial)
+    except NonFiniteValue:
+        return trial, math.inf
 
 
 def backtracking_gradient_x(

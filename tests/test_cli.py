@@ -861,6 +861,27 @@ def test_check_asks_each_oracle_only_for_answers_it_uses(tmp_path, capsys, monke
     assert calls == {"exact_min_y": 5, "exact_min_x": 5, "lipschitz_x": 3}
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_check_exits_quietly_when_its_reader_leaves_early(unbuffered):
+    # `bcdcert check ... | head -3` with the reader gone before the first
+    # line: a buffered stdout fails at the interpreter's last flush, an
+    # unbuffered one at the first print; neither may print to stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cfg = Path(__file__).resolve().parent / "data" / "mf.ini"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bcdcert.cli", "check", "--config", str(cfg), "--points", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 0  # the verdict: mf.ini's oracles pass
+
+
 def test_check_rejects_zero_points(tmp_path, capsys):
     cfg = write_cfg(tmp_path, COUPLED)
     assert run_cli(["check", "--config", cfg, "--points", "0"]) == 1

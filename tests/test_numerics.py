@@ -110,26 +110,34 @@ class WrongGradients(Objective):
 
 
 @pytest.mark.parametrize(
-    "family,params,gradient_values,minimizer_values",
+    "family,params,gradient_values,minimizer_values,minimizer_grads",
     [
         # 12 800 when every one of the 8 points was scanned
-        ("matrix_factorization", {"m": 60, "n": 40, "r": 8}, 1656, 20),
-        ("two_block_rosenbrock", {"scale": 100.0}, 60, 10),  # exact_min_y only
-        ("tight_quadratic", ZOO_PARAMS["tight_quadratic"], 34, 10),  # no y block
+        ("matrix_factorization", {"m": 60, "n": 40, "r": 8}, 1656, 15, 10),
+        ("two_block_rosenbrock", {"scale": 100.0}, 60, 10, 5),  # exact_min_y only
+        ("tight_quadratic", ZOO_PARAMS["tight_quadratic"], 34, 10, 5),  # no y block
     ],
 )
-def test_check_scans_only_the_first_point_of_an_honest_oracle(family, params, gradient_values, minimizer_values):
+def test_check_scans_only_the_first_point_of_an_honest_oracle(
+    family, params, gradient_values, minimizer_values, minimizer_grads
+):
     # 2 (n_x + n_y) values for the scan at the first point, then 2 per
     # direction and block at each other point; the minimizer checks add f
-    # at 5 points and at their block minimizers
+    # once at each of 5 points and once at each block minimizer, and read
+    # the gradient only at the minimizers: the gradient check holds the
+    # others. The Lipschitz probe reads 2 x-gradients per sample.
     obj = make_problem(ProblemSpec(family, seed=1, params=dict(params)))
-    calls = []
-    value = obj.value
+    calls, grads = [], []
+    value, grad_x, grad_y = obj.value, obj.grad_x, obj.grad_y
     obj.value = lambda p: calls.append(p) or value(p)
+    obj.grad_x = lambda p: grads.append(p) or grad_x(p)
+    obj.grad_y = lambda p: grads.append(p) or grad_y(p)
     passed, _ = run_oracle_checks(obj, points=8, seed=1)
     blocks = (obj.n_x > 0) + (obj.n_y > 0)
     assert gradient_values == 2 * (obj.n_x + obj.n_y) + 2 * DIRECTIONS * blocks * (8 - 1)
     assert passed and len(calls) == gradient_values + minimizer_values
+    probes = 3 * 100 * 2 if family != "two_block_rosenbrock" else 0
+    assert len(grads) == 2 * 8 + minimizer_grads + probes
 
 
 @pytest.mark.parametrize("k", [0.1, 0.01, 10.0])

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from bcdcert.errors import DimensionMismatch, NonFiniteValue
-from bcdcert.problem import BlockPoint, Objective, as_vector, checked_grad, evaluate
+from bcdcert.problem import BlockPoint, Objective, _squared_norm, as_vector, checked_grad, evaluate
 
 
 class SmallQuadratic(Objective):
@@ -134,6 +136,25 @@ def test_checked_grad_flattens_any_layout_to_the_same_contiguous_vector(layout):
     assert g.dtype == np.float64 and g.ndim == 1 and g.flags.c_contiguous
     assert g.tobytes() == want.tobytes()
     assert g_sq == float(want @ want)
+
+
+ONE_ENTRY = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1.5e-162, 1e-160, 1.1, -3.0,
+             1e154, -1e154, 1.3407807929942596e154, 1e200, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("v", ONE_ENTRY)
+def test_one_entry_squared_norm_has_the_bits_of_the_blas_dot(v):
+    # the one-entry path squares the entry in Python; a one-term np.vdot is
+    # the same single rounded product on every numpy and BLAS build
+    arr = np.array([v])
+    dot = float(np.vdot(arr, arr))
+    assert (v * v).hex() == dot.hex()
+    sq = _squared_norm(arr)
+    if math.isfinite(v):
+        assert sq.hex() == dot.hex()  # an overflowing square stays inf
+    else:
+        assert math.isnan(sq)  # a non-finite entry
+    assert _squared_norm(np.array([v, 0.0])).hex() == sq.hex()  # the vdot path agrees
 
 
 @pytest.mark.parametrize("block", ["x", "y"])
