@@ -1,18 +1,19 @@
-"""The trace checker: reads a trace file and decides its certificate with the standard library alone.
+"""The certificate fold and the trace checker, with the standard library alone.
 
-A run's trace is its certificate's witness. This module checks it apart
-from the code that produced it (``solve()`` and the numpy ``fold`` in
-``bcdcert.certificate``), as a certifying algorithm's checker should: it
-parses the CSV line by line (``read_table``), refolds the three derived
-columns and the verdict record by record in Python floats (``refold``),
-and compares (``verify``). Every value is computed with the same IEEE
-operations in the same order as ``fold``, so an honest trace matches
-bitwise; a differential test keeps the two folds equal. ``report`` and
-``traceio.verify_trace`` decide with it, and ``report`` never loads numpy.
+``refold`` is the one certificate fold: record by record, in Python floats,
+it checks every step and the telescoped and rate bounds at every prefix.
+``solve()`` folds its history with it once, when the loop ends,
+``traceio.write_trace`` takes a trace's derived columns from it, and the
+checker decides a trace file with it: it parses the CSV line by line
+(``read_table``), refolds the raw columns and compares (``verify``). The
+writer and the checker fold the same doubles (repr() round-trips them), so
+an honest trace matches bitwise. ``report`` and ``traceio.verify_trace``
+decide with ``verify``, and ``report`` never loads numpy. The fold is
+pinned bit for bit against a plain reference loop kept in the tests.
 
 The per-step and rate-bound formulas, the run's one tolerance and the
-``Certificate`` live here, and ``bcdcert.certificate`` re-exports them, so
-the producer and the checker share one definition of each.
+``Certificate`` live here too, so the run and the audit share one
+definition of each.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ def check_record(t, *fields) -> None:
 def sufficient_decrease(f, f_next, g_sq, e, tol):
     """f - f_next >= g_sq / (2 e) - tol: the per-step inequality, within tol.
 
-    The one decrease test: strategies accept a step with it, and ``fold``
-    (elementwise, on columns) and ``refold`` certify every recorded step
-    with it, so all three decide alike.
+    The one decrease test: strategies accept a step with it, and ``refold``
+    certifies every recorded step with it, so both decide alike.
     """
     return f - f_next >= g_sq / (2.0 * e) - tol
 
@@ -79,15 +79,14 @@ def rate_bound(e_max: float, drop: float, steps) -> float:
 
     A zero drop gives a zero bound (of the drop's sign) even when ``2 e_max``
     overflows, where the product alone would be inf * 0 = NaN; every other
-    value is the plain product. ``certificate.rate_bound`` is the same
-    formula on numpy columns.
+    value is the plain product.
     """
     return drop if drop == 0.0 else 2.0 * e_max * drop / steps
 
 
 @dataclass
 class Certificate:
-    """Aggregate of a record sequence, as ``fold`` and ``refold`` compute it.
+    """Aggregate of a record sequence, as ``refold`` computes it.
 
     Fold identities: ``e_min``/``min_grad_sq`` start at +inf, ``e_max`` at 0.
     ``telescope_ok``/``rate_bound_ok`` say the bound held at every prefix.
@@ -211,19 +210,25 @@ def table_columns(values: array) -> dict:
 
 
 def refold(f_before, f_after_x, f_after_y, gx_norm_sq, gy_residual, e_t, f0: float = math.nan):
-    """``certificate.fold`` one record at a time, in Python floats.
+    """Check every step and every prefix of a record sequence, one record at a time.
 
-    Takes the raw columns as sequences of floats that passed
-    ``check_record`` and returns (suff_ok, cum_sum, rate_bound_prefix,
-    certificate) as lists and a ``Certificate``, each bitwise what ``fold``
-    returns for the same columns. f0 only names an empty history's start
-    value.
+    Takes the raw columns as sequences of Python floats that passed
+    ``check_record``: lists, ``array('d')`` or ``memoryview(col)`` of a
+    float64 column, strided or not (never numpy arrays, whose scalars warn
+    on overflow). Returns (suff_ok, cum_sum, rate_bound_prefix,
+    certificate): per row, as a ``bytearray`` of 0/1 and two
+    ``array('d')``, the step check, the running sum of ||gx||^2 / (2 e_t)
+    and the rate bound 2 e_max (f0 - f_t) / (t + 1); and the whole
+    sequence's ``Certificate``, whose telescope_ok and rate_bound_ok say
+    both bounds held at every prefix, within ``check_tol_for(f0)``. f0 is
+    the first row's f_before (the argument only names an empty sequence's
+    start value).
     """
+    suff_ok, cum_sum, bounds = bytearray(), array("d"), array("d")
     if len(f_before) == 0:
-        return [], [], [], Certificate.fresh(f0)
+        return suff_ok, cum_sum, bounds, Certificate.fresh(f0)
     f0 = f_before[0]
     tol = check_tol_for(f0)
-    suff_ok, cum_sum, bounds = [], [], []
     running = e_max = max_gy = 0.0
     e_min = min_g = math.inf
     telescope_ok = rate_bound_ok = True
@@ -239,7 +244,7 @@ def refold(f_before, f_after_x, f_after_y, gx_norm_sq, gy_residual, e_t, f0: flo
             e_max = e
         if e < e_min:
             e_min = e
-        if g_sq < min_g:  # keeps the first of tied minima (0.0 vs -0.0), as fold does
+        if g_sq < min_g:  # keeps the first of tied minima (0.0 vs -0.0)
             min_g = g_sq
         if gy > max_gy:
             max_gy = gy

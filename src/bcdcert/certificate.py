@@ -1,4 +1,4 @@
-"""Runtime convergence certificate.
+"""Runtime convergence certificate: a run's records, as columns.
 
 Turns the convergence analysis into machine checks along an actual run:
 
@@ -8,34 +8,22 @@ Turns the convergence analysis into machine checks along an actual run:
   the f drop so far, and min_t ||grad||^2 <= 2 e_max (f_0 - f_t) / t, the
   O(1/sqrt(T)) guarantee.
 
-A run's records are kept as columns (``History``), and ``fold`` decides all
-of the above in one pass of running sums, maxima and minima over them, for
-``solve()`` and ``write_trace``. The trace audit decides with the standard
-library checker in ``bcdcert.audit``, which refolds a trace record by record
-to the same bits, so the run and the audit reach the same ``Certificate``.
-The per-step test, the tolerance and ``Certificate`` live in
-``bcdcert.audit`` and are re-exported here; ``rate_bound`` is the audit's
-rate-bound formula on columns. The gradient norm recorded per step is the
-x-block one; it stands in for the full gradient because the y block is
+A run's records are kept as columns (``History``); ``audit.refold``, the
+one certificate fold, decides all of the above in one pass over them, for
+``solve()``, ``write_trace`` and the trace audit alike, so the run and the
+audit reach the same ``Certificate``. The gradient norm recorded per step is
+the x-block one; it stands in for the full gradient because the y block is
 stationary (to within the recorded ``gy_residual``) at the measurement point.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import (
-    RAW_FIELDS,
-    Certificate,
-    check_record,
-    check_tol_for,
-    fit_slope,
-    sufficient_decrease,
-)
+from .audit import RAW_FIELDS, check_record, fit_slope
 
 # Rows turned into Python scalars at a time when a run is walked row by row.
 _BLOCK = 1024
@@ -48,7 +36,7 @@ class IterationRecord:
     ``gx_norm_sq`` is ||grad_x f(x_t, y_t)||^2 measured before the x-update;
     ``gy_residual`` is ||grad_y f|| after this step's y-update; ``e_t`` is the
     constant the x-strategy certified; ``suff_ok`` is the step check's
-    verdict, as ``fold`` derives it.
+    verdict, as ``audit.refold`` derives it.
     """
 
     t: int
@@ -68,12 +56,14 @@ class IterationRecord:
 def row_blocks(columns):
     """Yield (t0, lists): rows t0, t0 + 1, ... of equal-length ``columns``, _BLOCK rows at a time.
 
-    Each list holds one column's values for those rows as Python scalars, so
-    walking a run row by row never holds more than one block of them.
+    ``columns`` are 1-d buffers: numpy arrays, ``array('d')``s or
+    ``bytearray``s. Each list holds one column's values for those rows as
+    Python scalars, so walking a run row by row never holds more than one
+    block of them.
     """
     n = len(columns[0])
     for t0 in range(0, n, _BLOCK):
-        yield t0, [col[t0:t0 + _BLOCK].tolist() for col in columns]
+        yield t0, [memoryview(col)[t0:t0 + _BLOCK].tolist() for col in columns]
 
 
 class History:
@@ -137,61 +127,6 @@ class History:
         if isinstance(other, (History, list)):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
-
-
-def rate_bound(e_max, drop, steps):
-    """``audit.rate_bound`` on columns, elementwise: 2 e_max drop / steps, and a zero drop's own zero.
-
-    On arrays, call it under ``np.errstate`` as ``fold`` does.
-    """
-    return np.where(drop == 0.0, drop, 2.0 * e_max * drop / steps)
-
-
-def fold(history: History, f0: float = math.nan):
-    """Check every step and every prefix of ``history`` in one pass.
-
-    Returns (suff_ok, cum_sum, rate_bound_prefix, certificate): per row the
-    step check, the running sum of ||gx||^2 / (2 e_t) and the rate bound
-    2 e_max (f0 - f_t) / (t + 1); and the whole sequence's certificate,
-    whose telescope_ok and rate_bound_ok say both bounds held at every
-    prefix, within ``check_tol_for(f0)``. f0 is the first row's f_before
-    (the argument only names an empty history's start value). The sum adds
-    in sequence from 0.0 and the rest is elementwise, so every value is
-    bitwise the one a record-by-record loop computes.
-    """
-    n = len(history)
-    if n == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0), np.zeros(0), Certificate.fresh(f0)
-    f_before, f_after_x, f_after_y = history.f_before, history.f_after_x, history.f_after_y
-    g_sq, e = history.gx_norm_sq, history.e_t
-    f0 = float(f_before[0])
-    tol = check_tol_for(f0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        suff_ok = sufficient_decrease(f_before, f_after_x, g_sq, e, tol) & (f_after_y <= f_after_x + tol)
-        required = g_sq / (2.0 * e)
-        cum_sum = np.add.accumulate(np.concatenate(([0.0], required)))[1:]
-        drop = f0 - f_after_y
-        bound = rate_bound(np.maximum.accumulate(e), drop, np.arange(1.0, n + 1.0))
-        telescope_ok = bool(np.all(cum_sum <= drop + tol))
-        rate_bound_ok = bool(np.all(np.minimum.accumulate(g_sq) <= bound + tol))
-    e_max = float(e.max())
-    cert = Certificate(
-        f0=f0,
-        f_final=float(f_after_y[-1]),
-        num_steps=n,
-        running_sum=float(cum_sum[-1]),
-        e_max=e_max,
-        e_min=float(e.min()),
-        # the first of tied minima, as a min() fold keeps it (0.0 vs -0.0)
-        min_grad_sq=float(g_sq[np.argmin(g_sq)]),
-        max_gy_residual=max(0.0, float(history.gy_residual.max())),
-        telescope_ok=telescope_ok,
-        rate_bound_ok=rate_bound_ok,
-        all_steps_ok=bool(suff_ok.all()),
-        vacuous_steps=int(np.count_nonzero(required <= tol)),
-        grad_floor=math.sqrt(2.0 * e_max * tol),
-    )
-    return suff_ok, cum_sum, bound, cert
 
 
 def fit_rate(history: History) -> float:

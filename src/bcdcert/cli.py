@@ -26,6 +26,7 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -369,24 +370,15 @@ def cmd_check(cfg: RunConfig, points: int, quiet: bool = False) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload["family"] = cfg.spec.family
-    try:
-        if not quiet:
-            for chk in payload["checks"]:
-                status = chk["status"]
-                tag = "ok" if status == "ok" else ("--" if status.startswith("skipped") else "FAIL")
-                detail = ", ".join(
-                    f"{k}={v}" for k, v in chk.items() if k not in ("name", "status")
-                )
-                print(f"[{tag:>4}] {chk['name']}: {status}" + (f" ({detail})" if detail else ""))
-        print(json.dumps(payload, indent=1, sort_keys=True))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (`bcdcert check ... | head -3`). What
-        # it did not read goes to devnull, which also takes the interpreter's
-        # last flush, so nothing reaches stderr; the exit code is the verdict.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    if not quiet:
+        for chk in payload["checks"]:
+            status = chk["status"]
+            tag = "ok" if status == "ok" else ("--" if status.startswith("skipped") else "FAIL")
+            detail = ", ".join(
+                f"{k}={v}" for k, v in chk.items() if k not in ("name", "status")
+            )
+            print(f"[{tag:>4}] {chk['name']}: {status}" + (f" ({detail})" if detail else ""))
+    print(json.dumps(payload, indent=1, sort_keys=True))
     return 0 if passed else 2
 
 
@@ -445,7 +437,28 @@ def main(argv=None) -> int:
     p_rep.add_argument("--quiet", action="store_true")
 
     args = parser.parse_args(argv)
+    # A command's standard output is held until it has its exit code, so a
+    # reader that leaves early (`bcdcert report ... | head -1`) cannot cut
+    # the command short: a run still writes its trace and summary.
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        return _command(args)
+    finally:
+        said, sys.stdout = sys.stdout.getvalue(), stdout
+        try:
+            stdout.write(said)
+            stdout.flush()
+        except BrokenPipeError:
+            # What the reader did not read goes to devnull, which also takes
+            # the interpreter's last flush, so nothing reaches stderr; the
+            # exit code is the command's verdict.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
 
+
+def _command(args) -> int:
+    """Run the parsed command line's subcommand; its exit code."""
     if args.command == "report":
         return cmd_report(args.trace, quiet=args.quiet)
 

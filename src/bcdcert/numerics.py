@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import check_tol_for
+from .audit import check_tol_for
 from .errors import DegenerateRegion, MissingExactMinimizer
 from .problem import BlockPoint, Objective, checked_grad, checked_lipschitz, checked_minimizer, checked_value
 from .problems import random_start

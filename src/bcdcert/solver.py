@@ -4,7 +4,7 @@ One initial ``stationary_y`` call makes the certificate's standing hypothesis
 (grad_y = 0 at every measured iterate) true by construction; after that each
 iteration measures grad_x at (x_t, y_t), applies the configured x-strategy,
 re-solves the y block and records the step. The recorded columns are folded
-into the certificate once, when the loop ends (``certificate.fold``).
+into the certificate once, when the loop ends (``audit.refold``).
 
 Each iterate is evaluated once: the x-strategy hands back the value of the
 point it moved to, and ``stationary_y`` the value and ||grad_y||^2 of the next
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificate import RAW_FIELDS, Certificate, History, check_record, check_tol_for, fold
+from .audit import RAW_FIELDS, Certificate, check_record, check_tol_for, refold
+from .certificate import History
 from .errors import BcdcertError, NonFiniteValue
 # evaluate is unused here, but perfbench/tracing.py wraps bcdcert.solver.evaluate
 from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
@@ -188,7 +189,8 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
             error = err
             stop = StopReason.ERROR
     history = History.from_rows(np.reshape(rows, (-1, len(RAW_FIELDS))))
-    history.suff_ok, _, _, cert = fold(history, f0)
+    suff_ok, _, _, cert = refold(*(memoryview(getattr(history, name)) for name in RAW_FIELDS), f0)
+    history.suff_ok = np.frombuffer(suff_ok, dtype=bool)
     cert.invalidated = error is not None
     return RunResult(final=point, certificate=cert, history=history, stop_reason=stop,
                      wall_time=time.perf_counter() - t_start, y_tol=y_tol,

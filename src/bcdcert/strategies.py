@@ -8,7 +8,7 @@ that value, and the ``e_t`` certifying the sufficient-decrease condition
     f(x_t, y_t) - f(x_{t+1}, y_t) >= ||grad_x f(x_t, y_t)||^2 / (2 e_t)
 
 for the step it just took, within the run's tolerance ``tol`` (see
-``certificate.check_tol_for``). The test is ``certificate.sufficient_decrease``,
+``audit.check_tol_for``). The test is ``audit.sufficient_decrease``,
 the one the certificate applies, so a step a strategy accepts is a step the
 certificate certifies. ``stationary_y`` likewise takes ``f(p)`` and
 returns the value and ``||grad_y||^2`` at the point it lands on, so no number
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import sufficient_decrease
+from .audit import sufficient_decrease
 from .errors import (
     BacktrackExhausted,
     InnerSolveFailed,

@@ -1,11 +1,10 @@
 """Trace files: CSV rows per iteration, refoldable for audit.
 
 The derived columns (suff_ok, cum_sum, rate_bound_prefix) are produced by
-``certificate.fold``, and ``verify_trace`` recomputes them with the trace
-checker's ``audit.refold``, which performs the same arithmetic in the same
-order, so a clean round trip matches bitwise: floats are serialized with
-repr(), which parses back to the identical double. Any single edited cell
-therefore shows up as an exact mismatch (or as a broken f-chain between
+``audit.refold``, the one certificate fold, and ``verify_trace`` recomputes
+them with it; floats are serialized with repr(), which parses back to the
+identical double, so a clean round trip matches bitwise. Any single edited
+cell therefore shows up as an exact mismatch (or as a broken f-chain between
 consecutive rows). The file format and its line reader live in
 ``bcdcert.audit``; ``read_trace`` turns what the reader parsed into a
 columnar ``Trace`` without a copy. The audit's verdict is a
@@ -30,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audit import RAW_FIELDS, TABLE_FIELDS, TRACE_HEADER, Certificate, read_table, verify
-from .certificate import History, IterationRecord, fold, row_blocks
+from .audit import RAW_FIELDS, TABLE_FIELDS, TRACE_HEADER, Certificate, read_table, refold, verify
+from .certificate import History, IterationRecord, row_blocks
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,9 @@ def write_trace(path: str, history: History) -> None:
     Lines are rendered from the columns with repr(), one ``row_blocks``
     block at a time.
     """
-    suff_ok, cum_sum, rate_bound, _ = fold(history)
-    columns = [getattr(history, name) for name in RAW_FIELDS] + [suff_ok, cum_sum, rate_bound]
+    raw = [getattr(history, name) for name in RAW_FIELDS]
+    suff_ok, cum_sum, rate_bound, _ = refold(*map(memoryview, raw))
+    columns = raw + [suff_ok, cum_sum, rate_bound]
 
     def lines():
         yield TRACE_HEADER + "\n"
@@ -123,5 +123,5 @@ def verify_trace(rows: Trace) -> Certificate:
     ``check_tol_for(f0)`` of the first row's f0; an empty trace gives
     ``Certificate.fresh(nan)``.
     """
-    columns = {name: getattr(rows, name).tolist() for name in TABLE_FIELDS}
-    return verify(rows.suff_ok.tolist(), columns)
+    columns = {name: memoryview(getattr(rows, name)) for name in TABLE_FIELDS}
+    return verify(memoryview(rows.suff_ok), columns)

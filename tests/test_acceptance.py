@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from bcdcert.certificate import History, IterationRecord, check_tol_for, fit_rate
+from bcdcert.audit import check_tol_for
+from bcdcert.certificate import History, IterationRecord, fit_rate
 from bcdcert.cli import main as cli_main
 from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
 from bcdcert.problem import BlockPoint, evaluate

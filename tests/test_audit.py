@@ -1,12 +1,14 @@
-"""The trace checker, ``bcdcert.audit``, against ``certificate.fold``, and without numpy.
+"""The trace checker, ``bcdcert.audit``, against the reference fold, and without numpy.
 
-``report`` and ``verify_trace`` decide with ``audit.refold``, a second fold
-written record by record in Python floats; ``solve()`` and ``write_trace``
-decide with the numpy ``fold``. These tests keep the two one verdict: on
-generated histories and on the traces of every ``tests/data`` config they
-agree on suff_ok, cum_sum and rate_bound_prefix bit for bit (the sign of a
-zero counts) and on every ``Certificate`` field. ``report`` itself must run
-with numpy absent and print what it prints with numpy present.
+``report`` and ``verify_trace`` decide with ``audit.refold``, the one
+certificate fold, which ``solve()`` and ``write_trace`` use too. These tests
+hold it to ``test_fold.reference_fold`` as the checker feeds it: columns of
+the standard library's ``array('d')``, as ``table_columns`` cuts them from
+a parsed file. On generated histories and on the traces of every
+``tests/data`` config, suff_ok, cum_sum and rate_bound_prefix agree bit for
+bit (the sign of a zero counts), and so does every ``Certificate`` field.
+``report`` itself must run with numpy absent and print what it prints with
+numpy present.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -21,12 +24,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcdcert import audit
-from bcdcert.certificate import RAW_FIELDS, Certificate, History, fold
+from bcdcert.audit import RAW_FIELDS, Certificate
+from bcdcert.certificate import History
 from bcdcert.cli import main
 from bcdcert.errors import SchemaMismatch
 from bcdcert.traceio import read_trace, verify_trace, write_trace
 
-from test_fold import bits, chained_rows, raw_rows
+from test_fold import assert_matches_reference, bits, chained_rows, raw_rows, reference_fold
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -43,14 +47,10 @@ def assert_same_certificate(got, want):
             assert a == b, field.name
 
 
-def assert_refold_matches_fold(history):
-    suff_ok, cum_sum, bound, cert = fold(history)
-    got = audit.refold(*(getattr(history, name).tolist() for name in RAW_FIELDS))
-    assert got[0] == suff_ok.tolist()
-    assert bits(got[1]) == bits(cum_sum.tolist())
-    assert bits(got[2]) == bits(bound.tolist())
-    assert_same_certificate(got[3], cert)
-    return cert
+def assert_refold_matches_reference(rows):
+    """``refold`` of ``rows`` as array('d') columns is the reference fold's, bit for bit; its certificate."""
+    columns = [array("d", column) for column in zip(*rows)]
+    return assert_matches_reference(audit.refold(*columns), rows)[1]
 
 
 # 0.0, -0.0 and repeated values, so that minima and maxima tie; with f0 <= 1
@@ -72,39 +72,38 @@ tied_rows = st.lists(
 
 @settings(deadline=None, max_examples=200)
 @given(chained_rows())
-def test_refold_matches_fold_on_steps_at_the_tolerance(rows):
-    assert_refold_matches_fold(History.from_rows(rows))
+def test_refold_matches_the_reference_on_steps_at_the_tolerance(rows):
+    assert_refold_matches_reference(rows)
 
 
 @settings(deadline=None, max_examples=200)
 @given(raw_rows)
-def test_refold_matches_fold_on_any_valid_rows(rows):
+def test_refold_matches_the_reference_on_any_valid_rows(rows):
     # unchained and extreme: cum_sum and rate_bound_prefix overflow to inf
-    assert_refold_matches_fold(History.from_rows(rows))
+    assert_refold_matches_reference(rows)
 
 
 @settings(deadline=None, max_examples=200)
 @given(tied_rows)
 @example([(0.5, 0.5, 0.5, 1e-10, 0.0, 0.5)])  # required decrease and rate bound both tie with tol
-def test_refold_matches_fold_on_tied_and_signed_zero_values(rows):
-    assert_refold_matches_fold(History.from_rows(rows))
+def test_refold_matches_the_reference_on_tied_and_signed_zero_values(rows):
+    assert_refold_matches_reference(rows)
 
 
 @pytest.mark.parametrize("f0", [3.5, math.nan])
 def test_refold_of_nothing_is_the_fresh_certificate(f0):
     suff_ok, cum_sum, bound, cert = audit.refold([], [], [], [], [], [], f0)
-    assert suff_ok == cum_sum == bound == []
-    assert_same_certificate(cert, fold(History.from_rows([]), f0)[3])
+    assert len(suff_ok) == len(cum_sum) == len(bound) == 0
+    assert_same_certificate(cert, Certificate.fresh(f0))
 
 
 @settings(deadline=None, max_examples=50)
 @given(chained_rows())
-def test_an_honest_trace_verifies_to_folds_certificate(tmp_path_factory, rows):
-    history = History.from_rows(rows)
+def test_an_honest_trace_verifies_to_the_reference_certificate(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("audit") / "t.trace.csv"
-    write_trace(str(path), history)
+    write_trace(str(path), History.from_rows(rows))
     flags, values = audit.read_table(str(path))
-    assert_same_certificate(audit.verify(flags, audit.table_columns(values)), fold(history)[3])
+    assert_same_certificate(audit.verify(flags, audit.table_columns(values)), Certificate(**reference_fold(rows)[3]))
 
 
 @pytest.fixture(scope="module")
@@ -119,14 +118,14 @@ def data_traces(tmp_path_factory):
     return traces
 
 
-def test_refold_matches_fold_on_every_data_trace(data_traces):
+def test_refold_matches_the_reference_on_every_data_trace(data_traces):
     for path in data_traces:
-        rows = read_trace(str(path))
-        cert = assert_refold_matches_fold(rows)
-        assert cert.passed()
         flags, values = audit.read_table(str(path))
-        assert_same_certificate(audit.verify(flags, audit.table_columns(values)), cert)
-        assert_same_certificate(verify_trace(rows), cert)
+        columns = audit.table_columns(values)
+        cert = assert_refold_matches_reference(list(zip(*(columns[name] for name in RAW_FIELDS))))
+        assert cert.passed()
+        assert_same_certificate(audit.verify(flags, columns), cert)
+        assert_same_certificate(verify_trace(read_trace(str(path))), cert)
 
 
 # --- report without numpy ----------------------------------------------------

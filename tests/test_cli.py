@@ -862,24 +862,34 @@ def test_check_asks_each_oracle_only_for_answers_it_uses(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
-def test_check_exits_quietly_when_its_reader_leaves_early(unbuffered):
+@pytest.mark.parametrize("command", ["check", "report", "run"])
+def test_check_exits_quietly_when_its_reader_leaves_early(command, unbuffered, tmp_path):
     # `bcdcert check ... | head -3` with the reader gone before the first
     # line: a buffered stdout fails at the interpreter's last flush, an
-    # unbuffered one at the first print; neither may print to stderr
+    # unbuffered one at the first print; neither may print to stderr, and
+    # each subcommand exits with its own verdict
+    data = Path(__file__).resolve().parent / "data"
+    argv = {
+        "check": ["check", "--config", str(data / "mf.ini"), "--points", "8"],
+        "report": ["report", str(data / "rosenbrock500.trace.csv")],
+        "run": ["run", "--config", str(data / "tight.ini"), "--out", str(tmp_path / "tight")],
+    }[command]
     src = Path(__file__).resolve().parent.parent / "src"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    cfg = Path(__file__).resolve().parent / "data" / "mf.ini"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "bcdcert.cli", "check", "--config", str(cfg), "--points", "8"],
+        [sys.executable, "-m", "bcdcert.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert err == b""
-    assert proc.returncode == 0  # the verdict: mf.ini's oracles pass
+    assert proc.returncode == 0  # the verdict: mf.ini's oracles pass, the trace and the run certify
+    if command == "run":  # a run still writes what it was asked to
+        assert read_trace(str(tmp_path / "tight.trace.csv"))
+        assert json.loads((tmp_path / "tight.summary.json").read_text())["certified"] is True
 
 
 def test_check_rejects_zero_points(tmp_path, capsys):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from bcdcert.certificate import check_tol_for
+from bcdcert.audit import check_tol_for
 from bcdcert.problem import BlockPoint, Objective, evaluate
 from bcdcert.problems import CoupledQuadratic, MatrixFactorization, TightQuadratic
 from bcdcert.solver import SolverConfig, StopReason, solve

@@ -1,11 +1,12 @@
-"""``fold`` against a plain record-by-record loop, bit for bit.
+"""``audit.refold``, the certificate fold, against a plain record-by-record loop, bit for bit.
 
 ``reference_fold`` is the certificate fold written the obvious way: one
 record at a time, Python floats, running sum from 0.0, max from 0.0 and min
 from +inf, and a zero drop bounding the rate at that zero (``2 e_max`` may
-overflow, and inf * 0 is not a bound). The vectorized fold must reproduce
-every derived column and every certificate field it computes exactly,
-including the sign of a zero.
+overflow, and inf * 0 is not a bound). ``refold``, fed a History's columns
+as ``solve()`` and ``write_trace`` feed them (``memoryview``s of strided
+float64 columns), must reproduce every derived column and every
+certificate field it computes exactly, including the sign of a zero.
 """
 
 import math
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcdcert.certificate import Certificate, History, check_tol_for, fold
+from bcdcert.audit import RAW_FIELDS, Certificate, check_tol_for, refold
+from bcdcert.certificate import History
 
 
 def reference_fold(rows):
@@ -54,12 +56,18 @@ def bits(values):
     return ["nan" if math.isnan(v) else v.hex() for v in values]
 
 
-def assert_fold_matches_reference(rows):
-    suff_ok, cum_sum, rate_bound, cert = fold(History.from_rows(rows))
+def fold_history(history, *f0):
+    """``refold`` of a History's raw columns, as ``solve()`` and ``write_trace`` call it."""
+    return refold(*(memoryview(getattr(history, name)) for name in RAW_FIELDS), *f0)
+
+
+def assert_matches_reference(folded, rows):
+    """``folded``, a fold's (suff_ok, cum_sum, rate_bound_prefix, certificate) of ``rows``, is the reference's bit for bit."""
+    suff_ok, cum_sum, rate_bound, cert = folded
     ref_suff, ref_cum, ref_rate, fields = reference_fold(rows)
-    assert suff_ok.tolist() == ref_suff
-    assert bits(cum_sum.tolist()) == bits(ref_cum)
-    assert bits(rate_bound.tolist()) == bits(ref_rate)
+    assert list(suff_ok) == ref_suff
+    assert bits(cum_sum) == bits(ref_cum)
+    assert bits(rate_bound) == bits(ref_rate)
     for name, want in fields.items():
         got = getattr(cert, name)
         assert type(got) is type(want), name
@@ -69,6 +77,10 @@ def assert_fold_matches_reference(rows):
             assert got == want, name
     assert not cert.invalidated
     return suff_ok, cert
+
+
+def assert_fold_matches_reference(rows):
+    return assert_matches_reference(fold_history(History.from_rows(rows)), rows)
 
 
 def boundary_f_after_x(f_before, need):
@@ -144,20 +156,20 @@ def test_fold_matches_the_loop_on_steps_at_the_tolerance(rows):
 def test_fold_matches_the_loop_on_any_valid_rows(rows):
     # unchained and extreme: sums and rate bounds overflow to inf, never to NaN
     assert_fold_matches_reference(rows)
-    _, cum_sum, rate_bound, _ = fold(History.from_rows(rows))
+    _, cum_sum, rate_bound, _ = fold_history(History.from_rows(rows))
     assert not np.isnan(cum_sum).any() and not np.isnan(rate_bound).any()
 
 
 def test_fold_of_one_row():
     suff_ok, cert = assert_fold_matches_reference([(2.0, 0.0, 0.0, 8.0, 0.0, 2.0)])
-    assert suff_ok.tolist() == [True] and cert.num_steps == 1
+    assert list(suff_ok) == [True] and cert.num_steps == 1
 
 
 def test_fold_of_nothing_is_the_fresh_certificate():
-    suff_ok, cum_sum, rate_bound, cert = fold(History.from_rows([]), 3.5)
+    suff_ok, cum_sum, rate_bound, cert = fold_history(History.from_rows([]), 3.5)
     assert len(suff_ok) == len(cum_sum) == len(rate_bound) == 0
     assert cert == Certificate.fresh(3.5)
-    assert math.isnan(fold(History.from_rows([]))[3].f0)
+    assert math.isnan(fold_history(History.from_rows([]))[3].f0)
 
 
 def test_ties_at_the_tolerance_pass_and_one_ulp_beyond_fails():
@@ -166,12 +178,12 @@ def test_ties_at_the_tolerance_pass_and_one_ulp_beyond_fails():
     fax = boundary_f_after_x(f0, g_sq / (2.0 * e) - tol)
     tie_x = [(f0, fax, fax, g_sq, 0.0, e)]
     tie_y = [(f0, fax, fax + tol, g_sq, 0.0, e)]
-    assert fold(History.from_rows(tie_x))[0].tolist() == [True]
-    assert fold(History.from_rows(tie_y))[0].tolist() == [True]
+    assert list(fold_history(History.from_rows(tie_x))[0]) == [True]
+    assert list(fold_history(History.from_rows(tie_y))[0]) == [True]
     beyond_x = [(f0, math.nextafter(fax, math.inf), fax, g_sq, 0.0, e)]
     beyond_y = [(f0, fax, math.nextafter(fax + tol, math.inf), g_sq, 0.0, e)]
-    assert fold(History.from_rows(beyond_x))[0].tolist() == [False]
-    assert fold(History.from_rows(beyond_y))[0].tolist() == [False]
+    assert list(fold_history(History.from_rows(beyond_x))[0]) == [False]
+    assert list(fold_history(History.from_rows(beyond_y))[0]) == [False]
     for rows in (tie_x, tie_y, beyond_x, beyond_y):
         assert_fold_matches_reference(rows)
 
@@ -195,7 +207,7 @@ def test_a_step_check_first_failing_at_row_k(k, fault):
     else:
         rows[k] = (f, fax, fax + 1.0, g_sq, gy, e)
     suff_ok, cert = assert_fold_matches_reference(rows)
-    assert int(np.argmin(suff_ok)) == k and suff_ok.sum() == 19
+    assert suff_ok.index(0) == k and sum(suff_ok) == 19
     assert not cert.all_steps_ok
 
 
@@ -205,9 +217,9 @@ def test_a_telescope_bound_first_failing_at_prefix_k(k):
     rows = certified_chain(20)
     f, fax, fay, g_sq, gy, e = rows[k]
     rows[k] = (f, fax, fay, 4.0 * 64.0, gy, e)
-    _, cum_sum, _, cert = fold(History.from_rows(rows))
+    _, cum_sum, _, cert = fold_history(History.from_rows(rows))
     drop = 64.0 - np.array([r[2] for r in rows])
-    assert int(np.argmax(cum_sum > drop + check_tol_for(64.0))) == k
+    assert int(np.argmax(np.asarray(cum_sum) > drop + check_tol_for(64.0))) == k
     _, ref_cert = assert_fold_matches_reference(rows)
     assert not cert.telescope_ok and ref_cert == cert
 
@@ -215,7 +227,7 @@ def test_a_telescope_bound_first_failing_at_prefix_k(k):
 def test_a_zero_drop_bounds_the_rate_at_zero_when_two_e_max_overflows():
     # f never moves while the certified constant sits at 1e308: the bound is 0, not inf * 0
     rows = [(0.5, 0.5, 0.5, 4.0, 0.0, 1e308)] * 3
-    _, _, rate_bound, cert = fold(History.from_rows(rows))
+    _, _, rate_bound, cert = fold_history(History.from_rows(rows))
     assert bits(rate_bound.tolist()) == bits([0.0, 0.0, 0.0])
     assert cert.all_steps_ok and cert.telescope_ok and not cert.rate_bound_ok
     assert_fold_matches_reference(rows)

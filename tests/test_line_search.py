@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bcdcert.certificate import check_tol_for
+from bcdcert.audit import check_tol_for
 from bcdcert.errors import BacktrackExhausted
 from bcdcert.problem import BlockPoint, Objective
 from bcdcert.problems import TwoBlockRosenbrock

@@ -1,9 +1,9 @@
 """Traced memory of the row paths on a 100 000-row run.
 
-Walking, writing and reading a long History must not hold a Python float
-per cell: each path's traced peak stays within a few MB of the arrays it
-cannot avoid (none for iteration, ``fold``'s for ``write_trace``, the
-parsed table for ``read_trace``).
+Walking, writing, reading and verifying a long History must not hold a
+Python float per cell: each path's traced peak stays within a few MB of the
+arrays it cannot avoid (none for iteration, the fold's derived columns for
+``write_trace`` and ``verify_trace``, the parsed table for ``read_trace``).
 """
 
 import tracemalloc
@@ -11,11 +11,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bcdcert.certificate import RAW_FIELDS, History, fold
-from bcdcert.traceio import read_trace, write_trace
+from bcdcert.audit import RAW_FIELDS
+from bcdcert.certificate import History
+from bcdcert.traceio import read_trace, verify_trace, write_trace
 
 N = 100_000
 SLACK = 3e6  # bytes
+# the fold's derived columns: a suff_ok byte and two float64 (cum_sum, rate_bound_prefix) per row
+DERIVED_BYTES = N * (1 + 2 * 8)
 
 
 def traced_peak(fn, *args):
@@ -45,9 +48,15 @@ def test_iterating_holds_one_block(history):
     assert traced_peak(consume, history) < SLACK
 
 
-def test_write_trace_holds_no_more_than_the_fold(history, tmp_path):
-    fold_peak = traced_peak(fold, history)
-    assert traced_peak(write_trace, str(tmp_path / "long.trace.csv"), history) < fold_peak + SLACK
+def test_write_trace_holds_no_more_than_its_derived_columns(history, tmp_path):
+    assert traced_peak(write_trace, str(tmp_path / "long.trace.csv"), history) < DERIVED_BYTES + SLACK
+
+
+def test_verify_trace_holds_no_more_than_its_derived_columns(history, tmp_path):
+    path = str(tmp_path / "long.trace.csv")
+    write_trace(path, history)  # untraced
+    trace = read_trace(path)
+    assert traced_peak(verify_trace, trace) < DERIVED_BYTES + SLACK
 
 
 def test_read_trace_holds_no_more_than_its_table(history, tmp_path):

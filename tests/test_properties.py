@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bcdcert.certificate import check_tol_for
+from bcdcert.audit import check_tol_for
 from bcdcert.errors import BcdcertError, TamperDetected
 from bcdcert.solver import SolverConfig, StopReason, solve
 from bcdcert.traceio import read_trace, verify_trace, write_trace

@@ -8,8 +8,11 @@ block boundaries and ends in a short block.
 import numpy as np
 import pytest
 
-from bcdcert.certificate import _BLOCK, RAW_FIELDS, History, IterationRecord, fold
+from bcdcert.audit import RAW_FIELDS
+from bcdcert.certificate import _BLOCK, History, IterationRecord
 from bcdcert.traceio import TRACE_HEADER, Trace, read_trace, write_trace
+
+from test_fold import fold_history
 
 N = 2 * _BLOCK + 3
 
@@ -57,26 +60,26 @@ def test_trace_iteration_equals_indexing_across_blocks(written):
 
 
 def test_write_trace_matches_a_row_by_row_rendering(history, written):
-    suff_ok, cum_sum, rate_bound, _ = fold(history)
+    suff_ok, cum_sum, rate_bound, _ = fold_history(history)
     lines = [TRACE_HEADER]
     for t in range(N):
         rec = history[t]
         cells = [str(t)] + [repr(getattr(rec, name)) for name in RAW_FIELDS]
-        cells += ["1" if suff_ok[t] else "0", repr(float(cum_sum[t])), repr(float(rate_bound[t]))]
+        cells += ["1" if suff_ok[t] else "0", repr(cum_sum[t]), repr(rate_bound[t])]
         lines.append(",".join(cells))
     with open(written, "rb") as fh:
         assert fh.read() == ("\n".join(lines) + "\n").encode()
 
 
 def test_read_trace_columns_are_bitwise_the_written_ones(history, written):
-    suff_ok, cum_sum, rate_bound, _ = fold(history)
+    suff_ok, cum_sum, rate_bound, _ = fold_history(history)
     trace = read_trace(written)
     assert len(trace) == N
     for name in RAW_FIELDS:
         assert getattr(trace, name).tobytes() == getattr(history, name).tobytes(), name
     assert trace.cum_sum.tobytes() == cum_sum.tobytes()
     assert trace.rate_bound_prefix.tobytes() == rate_bound.tobytes()
-    np.testing.assert_array_equal(trace.suff_ok, suff_ok)
+    assert trace.suff_ok.tolist() == list(suff_ok)
 
 
 def test_read_trace_columns_share_one_buffer(written):

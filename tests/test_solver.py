@@ -4,7 +4,8 @@ from array import array
 import numpy as np
 import pytest
 
-from bcdcert.certificate import RAW_FIELDS, History, fold
+from bcdcert.audit import RAW_FIELDS
+from bcdcert.certificate import History
 from bcdcert.errors import (
     DimensionMismatch,
     MissingLipschitzOracle,
@@ -28,6 +29,7 @@ from bcdcert.solver import (
 )
 
 from conftest import ALL_COMBOS, BreaksAtCall, zoo_problem, zoo_start
+from test_fold import fold_history
 
 
 def test_worked_chain_is_reproduced_exactly():
@@ -121,9 +123,9 @@ def test_refold_reproduces_the_certificate():
     obj = zoo_problem("coupled_quadratic", seed=6)
     res = solve(obj, zoo_start(obj, 6), SolverConfig(max_iters=25))
     history = History.from_records(list(res.history))
-    suff_ok, _, _, cert = fold(history)
+    suff_ok, _, _, cert = fold_history(history)
     assert cert == res.certificate
-    assert suff_ok.tolist() == res.history.suff_ok.tolist() == [r.suff_ok for r in res.history]
+    assert list(suff_ok) == res.history.suff_ok.tolist() == [r.suff_ok for r in res.history]
     assert history == res.history
 
 

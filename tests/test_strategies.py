@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bcdcert.certificate import History, check_tol_for, fold, sufficient_decrease
+from bcdcert.audit import check_tol_for, refold, sufficient_decrease
 from bcdcert.errors import (
     BacktrackExhausted,
     DimensionMismatch,
@@ -317,13 +317,13 @@ def _declared_short_by(shortfall, exact):
 def _step_check(f_before, f_after_x, f_after_y, g_sq, e_t, tol):
     """The certificate's check of one recorded step at ``tol``.
 
-    At the run's own tolerance, check_tol_for(f_before), it is fold's
+    At the run's own tolerance, check_tol_for(f_before), it is refold's
     verdict on the one-row history; at another tol it is the same two tests.
     """
     ok = bool(sufficient_decrease(f_before, f_after_x, g_sq, e_t, tol) and f_after_y <= f_after_x + tol)
     if tol == check_tol_for(f_before):
         row = (f_before, f_after_x, f_after_y, g_sq, 0.0, e_t)
-        assert bool(fold(History.from_rows([row]))[0][0]) is ok
+        assert bool(refold(*([value] for value in row))[0][0]) is ok
     return ok
 
 

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from bcdcert.certificate import History, check_tol_for, fit_rate, fold
+from bcdcert.audit import check_tol_for
+from bcdcert.certificate import History, fit_rate
 from bcdcert.errors import InsufficientHistory, SchemaMismatch, TamperDetected
 from bcdcert.solver import SolverConfig, solve
 from bcdcert.traceio import (
@@ -16,6 +17,7 @@ from bcdcert.traceio import (
 )
 
 from conftest import zoo_problem, zoo_start
+from test_fold import fold_history
 
 
 def run_and_write(tmp_path, seed=5, max_iters=40, name="run.trace.csv"):
@@ -64,8 +66,8 @@ def test_derived_columns_match_a_refold(tmp_path):
     res, path = run_and_write(tmp_path)
     rows = read_trace(path)
     records = [dataclasses.replace(r.record, suff_ok=False) for r in rows]
-    suff_ok, cum_sum, rate_bound, cert = fold(History.from_records(records))
-    derived = zip(suff_ok.tolist(), cum_sum.tolist(), rate_bound.tolist())
+    suff_ok, cum_sum, rate_bound, cert = fold_history(History.from_records(records))
+    derived = zip(suff_ok, cum_sum, rate_bound)
     for row, (ok, cum, rb) in zip(rows, derived):
         assert row.record.suff_ok == ok
         assert row.cum_sum == cum
