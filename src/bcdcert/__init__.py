@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 # Each exported name's module.
 _HOMES = {
     "audit": ("Certificate",),
-    "certificate": ("History", "IterationRecord", "fit_rate"),
     "errors": ("BcdcertError",),
     "problem": ("BlockPoint", "Objective"),
     "problems": ("ProblemSpec", "make_problem", "random_start"),
@@ -33,7 +32,7 @@ _HOMES = {
         "fixed_step_gradient_x",
         "stationary_y",
     ),
-    "traceio": ("read_trace", "verify_trace", "write_trace"),
+    "traceio": ("History", "IterationRecord", "fit_rate", "read_trace", "verify_trace", "write_trace"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

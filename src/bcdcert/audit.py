@@ -2,11 +2,12 @@
 
 ``refold`` is the one certificate fold: record by record, in Python floats,
 it checks every step and the telescoped and rate bounds at every prefix.
-``solve()`` folds its history with it once, when the loop ends,
-``traceio.write_trace`` takes a trace's derived columns from it, and the
+A ``traceio.History`` built from raw values is folded with it once, when it
+is built (for a run, by ``solve()`` when the loop ends), and carries its
+derived columns, which ``traceio.write_trace`` writes as they are. The
 checker decides a trace file with it: it parses the CSV line by line
 (``read_table``), refolds the raw columns and compares (``verify``). The
-writer and the checker fold the same doubles (repr() round-trips them), so
+run and the checker fold the same doubles (repr() round-trips them), so
 an honest trace matches bitwise. ``report`` and ``traceio.verify_trace``
 decide with ``verify``, and ``report`` never loads numpy. The fold is
 pinned bit for bit against a plain reference loop kept in the tests.

@@ -4,7 +4,8 @@ One initial ``stationary_y`` call makes the certificate's standing hypothesis
 (grad_y = 0 at every measured iterate) true by construction; after that each
 iteration measures grad_x at (x_t, y_t), applies the configured x-strategy,
 re-solves the y block and records the step. The recorded columns are folded
-into the certificate once, when the loop ends (``audit.refold``).
+once, when the loop ends (``audit.refold``): the returned ``History`` keeps
+the fold's derived columns, and the ``Certificate`` is the fold's.
 
 Each iterate is evaluated once: the x-strategy hands back the value of the
 point it moved to, and ``stationary_y`` the value and ||grad_y||^2 of the next
@@ -30,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import RAW_FIELDS, Certificate, check_record, check_tol_for, refold
-from .certificate import History
+from .audit import RAW_FIELDS, Certificate, check_record, check_tol_for
 from .errors import BcdcertError, NonFiniteValue
 # evaluate is unused here, but perfbench/tracing.py wraps bcdcert.solver.evaluate
 from .problem import BlockPoint, Objective, checked_grad, checked_value, evaluate
@@ -42,6 +42,7 @@ from .strategies import (
     fixed_step_gradient_x,
     stationary_y,
 )
+from .traceio import History
 
 X_STRATEGIES = ("fixed_step", "exact_min", "backtracking")
 
@@ -188,9 +189,7 @@ def solve(obj: Objective, start: BlockPoint, cfg: SolverConfig) -> RunResult:
         except BcdcertError as err:
             error = err
             stop = StopReason.ERROR
-    history = History.from_rows(np.reshape(rows, (-1, len(RAW_FIELDS))))
-    suff_ok, _, _, cert = refold(*(memoryview(getattr(history, name)) for name in RAW_FIELDS), f0)
-    history.suff_ok = np.frombuffer(suff_ok, dtype=bool)
+    history, cert = History._fold(np.reshape(rows, (-1, len(RAW_FIELDS))), f0)
     cert.invalidated = error is not None
     return RunResult(final=point, certificate=cert, history=history, stop_reason=stop,
                      wall_time=time.perf_counter() - t_start, y_tol=y_tol,

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from bcdcert.audit import check_tol_for
-from bcdcert.certificate import History, IterationRecord, fit_rate
 from bcdcert.cli import main as cli_main
 from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
 from bcdcert.problem import BlockPoint, evaluate
@@ -32,7 +31,7 @@ from bcdcert.strategies import (
     exact_min_x,
     fixed_step_gradient_x,
 )
-from bcdcert.traceio import read_trace, write_trace
+from bcdcert.traceio import History, IterationRecord, fit_rate, read_trace, write_trace
 from bcdcert.cli import cmd_report
 
 from conftest import APPLICABLE, zoo_problem, zoo_start

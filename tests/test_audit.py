@@ -25,10 +25,9 @@ from hypothesis import strategies as st
 
 from bcdcert import audit
 from bcdcert.audit import RAW_FIELDS, Certificate
-from bcdcert.certificate import History
 from bcdcert.cli import main
 from bcdcert.errors import SchemaMismatch
-from bcdcert.traceio import read_trace, verify_trace, write_trace
+from bcdcert.traceio import History, read_trace, verify_trace, write_trace
 
 from test_fold import assert_matches_reference, bits, chained_rows, raw_rows, reference_fold
 

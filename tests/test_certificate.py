@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from bcdcert.audit import Certificate, check_tol_for, rate_bound, sufficient_decrease
-from bcdcert.certificate import History, IterationRecord, fit_rate
 from bcdcert.errors import DegenerateFit, InsufficientHistory
-from bcdcert.traceio import read_trace, verify_trace, write_trace
+from bcdcert.traceio import History, IterationRecord, fit_rate, read_trace, verify_trace, write_trace
 
 from test_fold import fold_history
 
@@ -99,7 +98,11 @@ def test_fold_is_pure():
     first = fold_history(history)
     assert all(np.array_equal(getattr(history, name), col)
                for name, col in zip(History.__slots__, columns))
-    assert history.suff_ok.tolist() == [False, False]  # the records' own flags, untouched
+    # the fold derives the flags: the records' own (False) are not read
+    assert [r.suff_ok for r in CHAIN] == [False, False]
+    assert history.suff_ok.tolist() == list(first[0]) == [True, True]
+    assert history.cum_sum.tolist() == list(first[1])
+    assert history.rate_bound_prefix.tolist() == list(first[2])
     assert fold_history(history)[3] == first[3]
     assert folded(CHAIN[:1])[3].num_steps == 1
 

@@ -11,19 +11,19 @@ import numpy as np
 import pytest
 
 from bcdcert import cli
+from bcdcert.audit import refold
 from bcdcert.cli import (
     RunConfig,
     _resolve_start,
     main,
     parse_config,
 )
-from bcdcert.certificate import IterationRecord
 from bcdcert.errors import ConfigError, DimensionMismatch, MissingExactMinimizer, NonFiniteValue
 from bcdcert.numerics import run_oracle_checks
 from bcdcert.problem import BlockPoint
 from bcdcert.problems import _FAMILIES, FAMILY_NAMES, CoupledQuadratic, make_problem
 from bcdcert.solver import SolverConfig
-from bcdcert.traceio import read_trace, write_json
+from bcdcert.traceio import IterationRecord, read_trace, write_json
 
 from conftest import BreaksAtCall, zoo_problem
 
@@ -469,7 +469,6 @@ def test_run_and_report_build_no_records(tmp_path, monkeypatch):
             built.append(self.t)
             super().__post_init__()
 
-    monkeypatch.setattr("bcdcert.certificate.IterationRecord", Counted)
     monkeypatch.setattr("bcdcert.traceio.IterationRecord", Counted)
     cfg = write_cfg(tmp_path, COUPLED)
     out = str(tmp_path / "cols")
@@ -479,6 +478,22 @@ def test_run_and_report_build_no_records(tmp_path, monkeypatch):
     rows = read_trace(out + ".trace.csv")
     assert len(rows) > 0 and built == []
     assert [row.record.t for row in rows] == built == list(range(len(rows)))
+
+
+def test_run_folds_each_row_once(tmp_path, monkeypatch):
+    # solve() folds its rows once; write_trace writes the columns it was given
+    folded = []
+
+    def counted(*columns):
+        folded.append(len(columns[0]))
+        return refold(*columns)
+
+    for module in ("bcdcert.solver", "bcdcert.traceio"):
+        monkeypatch.setattr(f"{module}.refold", counted, raising=False)
+    cfg = write_cfg(tmp_path, COUPLED)
+    out = str(tmp_path / "once")
+    assert run_cli(["run", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert folded == [len(read_trace(out + ".trace.csv"))] and folded[0] > 0
 
 
 def test_run_prints_no_numpy_warning_ahead_of_the_error_line(tmp_path):

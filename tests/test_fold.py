@@ -4,9 +4,10 @@
 record at a time, Python floats, running sum from 0.0, max from 0.0 and min
 from +inf, and a zero drop bounding the rate at that zero (``2 e_max`` may
 overflow, and inf * 0 is not a bound). ``refold``, fed a History's columns
-as ``solve()`` and ``write_trace`` feed them (``memoryview``s of strided
-float64 columns), must reproduce every derived column and every
-certificate field it computes exactly, including the sign of a zero.
+as a History is folded when it is built (``memoryview``s of strided float64
+columns), must reproduce every derived column and every certificate field
+it computes exactly, including the sign of a zero. So must the columns and
+the certificate a ``solve()`` run carries, which come from its one fold.
 """
 
 import math
@@ -17,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcdcert.audit import RAW_FIELDS, Certificate, check_tol_for, refold
-from bcdcert.certificate import History
+from bcdcert.solver import SolverConfig, StopReason, solve
+from bcdcert.traceio import History, verify_trace
+
+from conftest import ALL_COMBOS, BreaksAtCall, zoo_problem, zoo_start
 
 
 def reference_fold(rows):
@@ -57,7 +61,7 @@ def bits(values):
 
 
 def fold_history(history, *f0):
-    """``refold`` of a History's raw columns, as ``solve()`` and ``write_trace`` call it."""
+    """``refold`` of a History's raw columns, as a History is folded when it is built."""
     return refold(*(memoryview(getattr(history, name)) for name in RAW_FIELDS), *f0)
 
 
@@ -231,3 +235,26 @@ def test_a_zero_drop_bounds_the_rate_at_zero_when_two_e_max_overflows():
     assert bits(rate_bound.tolist()) == bits([0.0, 0.0, 0.0])
     assert cert.all_steps_ok and cert.telescope_ok and not cert.rate_bound_ok
     assert_fold_matches_reference(rows)
+
+
+@pytest.mark.parametrize("family,strategy", ALL_COMBOS)
+def test_a_runs_own_columns_are_the_reference_fold(family, strategy):
+    obj = zoo_problem(family, seed=2)
+    res = solve(obj, zoo_start(obj, 2), SolverConfig(x_strategy=strategy, max_iters=60))
+    history = res.history
+    rows = [tuple(getattr(rec, name) for name in RAW_FIELDS) for rec in history]
+    assert rows and res.stop_reason is not StopReason.ERROR
+    run = (history.suff_ok.tolist(), history.cum_sum.tolist(), history.rate_bound_prefix.tolist(),
+           res.certificate)
+    assert_matches_reference(run, rows)
+    # the in-memory History passes the checker a trace file of it passes
+    assert verify_trace(history) == res.certificate and res.certificate.passed()
+
+
+def test_a_run_that_errors_before_its_first_step_has_empty_columns():
+    obj = BreaksAtCall(zoo_problem("coupled_quadratic"), "grad_x", 1, wrong_size=False)
+    res = solve(obj, zoo_start(obj), SolverConfig())
+    assert res.stop_reason is StopReason.ERROR and res.certificate.invalidated
+    assert len(res.history) == res.certificate.num_steps == 0
+    for name in History.__slots__:
+        assert getattr(res.history, name).shape == (0,), name

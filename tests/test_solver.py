@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bcdcert.audit import RAW_FIELDS
-from bcdcert.certificate import History
 from bcdcert.errors import (
     DimensionMismatch,
     MissingLipschitzOracle,
@@ -27,6 +26,7 @@ from bcdcert.solver import (
     solve,
     solve_gd_baseline,
 )
+from bcdcert.traceio import History
 
 from conftest import ALL_COMBOS, BreaksAtCall, zoo_problem, zoo_start
 from test_fold import fold_history

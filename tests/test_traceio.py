@@ -6,11 +6,12 @@ import os
 import pytest
 
 from bcdcert.audit import check_tol_for
-from bcdcert.certificate import History, fit_rate
 from bcdcert.errors import InsufficientHistory, SchemaMismatch, TamperDetected
 from bcdcert.solver import SolverConfig, solve
 from bcdcert.traceio import (
     TRACE_HEADER,
+    History,
+    fit_rate,
     read_trace,
     verify_trace,
     write_trace,
@@ -170,6 +171,30 @@ def test_first_row_f_before_edit_is_detected(tmp_path):
     _mutate_cell(path, bad, 0, idx, repr(float(old) + 1e-9))
     with pytest.raises(TamperDetected):
         verify_trace(read_trace(bad))
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "rosenbrock500.trace.csv")
+
+
+def test_an_unedited_trace_rewrites_byte_for_byte(tmp_path):
+    out = str(tmp_path / "rewritten.trace.csv")
+    write_trace(out, read_trace(GOLDEN))
+    assert open(out, "rb").read() == open(GOLDEN, "rb").read()
+
+
+def test_a_rewrite_keeps_an_edit_visible(tmp_path):
+    # the writer writes the columns it was given; only the checker derives a verdict
+    edited = str(tmp_path / "edited.trace.csv")
+    idx = COLS.index("gx_norm_sq")
+    old = open(GOLDEN).read().splitlines()[1 + 10].split(",")[idx]
+    _mutate_cell(GOLDEN, edited, 10, idx, repr(float(old) / 2))
+    with pytest.raises(TamperDetected, match="row 10: cum_sum"):
+        verify_trace(read_trace(edited))
+    out = str(tmp_path / "rewritten.trace.csv")
+    write_trace(out, read_trace(edited))
+    assert open(out, "rb").read() == open(edited, "rb").read()
+    with pytest.raises(TamperDetected, match="row 10: cum_sum"):
+        verify_trace(read_trace(out))
 
 
 def test_suff_ok_flip_is_detected(tmp_path):
