@@ -9,8 +9,8 @@ The root exports the API the README documents. Everything else stays in its
 module: the error leaves in ``bcdcert.errors``, the bundled problem classes
 in ``bcdcert.problems``, the oracle probes in ``bcdcert.numerics``. Each
 name is imported from its module on first use (PEP 562), so ``import
-bcdcert`` loads nothing, and the trace checker (``bcdcert.audit``) runs
-without numpy.
+bcdcert`` loads nothing, and the trace layer (``bcdcert.traceio`` and
+``bcdcert.audit``) runs without numpy.
 """
 
 import importlib
@@ -32,7 +32,7 @@ _HOMES = {
         "fixed_step_gradient_x",
         "stationary_y",
     ),
-    "traceio": ("History", "IterationRecord", "fit_rate", "read_trace", "verify_trace", "write_trace"),
+    "traceio": ("History", "IterationRecord", "read_trace", "verify_trace", "write_trace"),
 }
 _MODULE_OF = {name: module for module, names in _HOMES.items() for name in names}
 

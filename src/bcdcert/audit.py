@@ -1,16 +1,16 @@
-"""The certificate fold and the trace checker, with the standard library alone.
+"""The certificate fold and the trace file's line reader, with the standard library alone.
 
 ``refold`` is the one certificate fold: record by record, in Python floats,
 it checks every step and the telescoped and rate bounds at every prefix.
 A ``traceio.History`` built from raw values is folded with it once, when it
 is built (for a run, by ``solve()`` when the loop ends), and carries its
 derived columns, which ``traceio.write_trace`` writes as they are. The
-checker decides a trace file with it: it parses the CSV line by line
-(``read_table``), refolds the raw columns and compares (``verify``). The
-run and the checker fold the same doubles (repr() round-trips them), so
-an honest trace matches bitwise. ``report`` and ``traceio.verify_trace``
-decide with ``verify``, and ``report`` never loads numpy. The fold is
-pinned bit for bit against a plain reference loop kept in the tests.
+checker, ``traceio.verify_trace``, decides a trace file with it: the file
+is parsed line by line (``read_table``, whose buffers ``traceio.read_trace``
+holds as a History's columns), and the raw columns are refolded and
+compared. The run and the checker fold the same doubles (repr()
+round-trips them), so an honest trace matches bitwise. The fold is pinned
+bit for bit against a plain reference loop kept in the tests.
 
 The per-step and rate-bound formulas, the run's one tolerance and the
 ``Certificate`` live here too, so the run and the audit share one
@@ -26,7 +26,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 
-from .errors import DegenerateFit, InsufficientHistory, SchemaMismatch, TamperDetected
+from .errors import DegenerateFit, InsufficientHistory, SchemaMismatch
 
 # The raw fields of a record, in trace column order; everything else is derived.
 RAW_FIELDS = ("f_before", "f_after_x", "f_after_y", "gx_norm_sq", "gy_residual", "e_t")
@@ -131,7 +131,7 @@ class Certificate:
                 and not self.invalidated)
 
 
-def _parse_row(cells: list[str], index: int, flags: list, values: array) -> str | None:
+def _parse_row(cells: list[str], index: int, flags: bytearray, values: array) -> str | None:
     """Append one line's suff_ok flag and 8 floats, or return the message for its first fault.
 
     Checked in this order: field count, suff_ok token, number syntax, t,
@@ -164,14 +164,14 @@ def _parse_row(cells: list[str], index: int, flags: list, values: array) -> str 
     return None
 
 
-def read_table(path: str) -> tuple[list[bool], array]:
-    """Parse and validate a trace CSV: (suff_ok flags, float cells row by row).
+def read_table(path: str) -> tuple[bytearray, array]:
+    """Parse and validate a trace CSV: (suff_ok flags as 0/1 bytes, float cells row by row).
 
     The float cells of row t are ``values[8 t : 8 t + 8]``, in
     ``TABLE_FIELDS`` order. Schema violations, bytes that are not UTF-8
     among them, raise SchemaMismatch naming the first faulty line.
     """
-    flags: list[bool] = []
+    flags = bytearray()
     values = array("d")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -204,20 +204,14 @@ def _first_undecodable_line(path: str) -> str:
     return "not UTF-8 text"
 
 
-def table_columns(values: array) -> dict:
-    """``read_table``'s float cells as columns: TABLE_FIELDS name -> array of that column."""
-    width = len(TABLE_FIELDS)
-    return {name: values[i::width] for i, name in enumerate(TABLE_FIELDS)}
-
-
 def refold(f_before, f_after_x, f_after_y, gx_norm_sq, gy_residual, e_t, f0: float = math.nan):
     """Check every step and every prefix of a record sequence, one record at a time.
 
     Takes the raw columns as sequences of Python floats that passed
-    ``check_record``: lists, ``array('d')`` or ``memoryview(col)`` of a
-    float64 column, strided or not (never numpy arrays, whose scalars warn
-    on overflow). Returns (suff_ok, cum_sum, rate_bound_prefix,
-    certificate): per row, as a ``bytearray`` of 0/1 and two
+    ``check_record``: lists, ``array('d')``s or float64 ``memoryview``s,
+    strided or not, as a ``traceio.History`` holds them (never numpy
+    arrays, whose scalars warn on overflow). Returns (suff_ok, cum_sum,
+    rate_bound_prefix, certificate): per row, as a ``bytearray`` of 0/1 and two
     ``array('d')``, the step check, the running sum of ||gx||^2 / (2 e_t)
     and the rate bound 2 e_max (f0 - f_t) / (t + 1); and the whole
     sequence's ``Certificate``, whose telescope_ok and rate_bound_ok say
@@ -272,36 +266,6 @@ def refold(f_before, f_after_x, f_after_y, gx_norm_sq, gy_residual, e_t, f0: flo
         grad_floor=math.sqrt(2.0 * e_max * tol),
     )
     return suff_ok, cum_sum, bounds, cert
-
-
-def verify(flags, columns: dict) -> Certificate:
-    """Refold a parsed trace and return its certificate, or raise TamperDetected.
-
-    ``flags`` is the recorded suff_ok column and ``columns`` maps every
-    TABLE_FIELDS name to its column (see ``table_columns``). TamperDetected
-    names the first offending row: the f-chain between consecutive rows is
-    checked first, then whether any recorded derived column disagrees with
-    ``refold`` (suff_ok, then cum_sum, then rate_bound_prefix within a
-    row). An empty trace gives ``Certificate.fresh(nan)``.
-    """
-    f_before, f_after_y = columns["f_before"], columns["f_after_y"]
-    for t, (f, previous) in enumerate(zip(f_before[1:], f_after_y), 1):
-        if f != previous:
-            raise TamperDetected(f"row {t}: f_before does not chain from the previous row")
-
-    suff_ok, cum_sum, bounds, cert = refold(*(columns[name] for name in RAW_FIELDS))
-    recorded = zip(flags, suff_ok, columns["cum_sum"], cum_sum, columns["rate_bound_prefix"], bounds)
-    for t, (flag, ok, sum_in, sum_out, bound_in, bound_out) in enumerate(recorded):
-        if flag != ok:
-            column = "suff_ok flag"
-        elif sum_in != sum_out:
-            column = "cum_sum"
-        elif bound_in != bound_out:
-            column = "rate_bound_prefix"
-        else:
-            continue
-        raise TamperDetected(f"row {t}: {column} does not refold")
-    return cert
 
 
 def fit_slope(gx_norm_sq) -> float:

@@ -8,13 +8,14 @@ Subcommands:
              oracle checks for a configured problem (``numerics.run_oracle_checks``)
 - ``report`` re-read a trace CSV, refold the certificate, verify the
              telescoped and rate bounds at every prefix, fit the decay slope;
-             all with the standard-library checker ``bcdcert.audit``
+             with the library's own ``read_trace`` and ``verify_trace``
 
 Exit codes: 0 success and certified, 1 operational error (bad config,
 missing oracle, solver breakdown), 2 certificate or verification failure.
 
-Only ``run`` and ``check`` import the solver side (and with it numpy), so
-``report`` starts fast and needs no numpy.
+Only ``run`` and ``check`` import the solver side (and with it numpy); the
+trace layer (``bcdcert.traceio`` and ``bcdcert.audit``) needs none, so
+``report`` starts fast and runs without numpy.
 
 Config files are INI-style with sections [problem], [solver], [output] and
 optionally [baseline]; unknown sections or keys are errors, not warnings.
@@ -27,6 +28,7 @@ import configparser
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -34,7 +36,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from . import audit
+from .audit import fit_slope
 from .errors import (
     BcdcertError,
     ConfigError,
@@ -239,7 +241,7 @@ def _num(v):
 def _e_growth_flag(history) -> bool:
     """True when e_t grew strictly monotonically over a run of 10+ steps."""
     es = history.e_t
-    return len(es) >= 10 and bool((es[1:] > es[:-1]).all())
+    return len(es) >= 10 and all(a < b for a, b in itertools.pairwise(es))
 
 
 def _error_payload(err: BcdcertError | None):
@@ -383,10 +385,11 @@ def cmd_check(cfg: RunConfig, points: int, quiet: bool = False) -> int:
 
 
 def cmd_report(trace_path: str, quiet: bool = False) -> int:
+    from .traceio import read_trace, verify_trace
+
     try:
-        flags, values = audit.read_table(trace_path)
-        columns = audit.table_columns(values)
-        cert = audit.verify(flags, columns)
+        trace = read_trace(trace_path)
+        cert = verify_trace(trace)
     except (OSError, SchemaMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -395,7 +398,7 @@ def cmd_report(trace_path: str, quiet: bool = False) -> int:
         return 2
     if not quiet:
         try:
-            slope = f"{audit.fit_slope(columns['gx_norm_sq']):.4f}"
+            slope = f"{fit_slope(trace.gx_norm_sq):.4f}"
         except InsufficientHistory:
             slope = "insufficient history"
         except DegenerateFit as exc:

@@ -1,17 +1,20 @@
-"""A run's records as columns (``History``), and their trace file: CSV rows per iteration.
+"""A run's records as columns (``History``), their trace file, and the checker that decides it.
 
 A History holds the six raw columns and the three a fold derives from them
-(suff_ok, cum_sum, rate_bound_prefix). Built from raw values (by ``solve()``
-or ``History.from_rows``), it carries ``audit.refold``'s columns for them,
-folded once; read from a file (``read_trace``, without a copy), it carries
-the columns as the file recorded them. ``write_trace`` renders the nine
-columns as they are, so rewriting a parsed trace reproduces its bytes, edits
-included: only the checker, ``verify_trace`` (``audit.verify``), derives a
-verdict. Floats are serialized with repr(), which parses back to the
-identical double, so an honest trace matches its refold bitwise, and any
-single edited cell shows up as an exact mismatch (or as a broken f-chain
-between consecutive rows). The file format and its line reader live in
-``bcdcert.audit``.
+(suff_ok, cum_sum, rate_bound_prefix), as the standard-library buffers that
+made them, so nothing here needs numpy: a run's (``solve()`` or
+``History.from_rows``) are ``array('d')`` slices of its flat rows and
+``audit.refold``'s own ``bytearray`` and ``array('d')``s, folded once; a
+parsed trace's (``read_trace``) are strided ``memoryview``s of the one
+``array('d')`` the file was parsed into and the parser's suff_ok
+``bytearray``, as the file recorded them. ``np.asarray(column)`` views any
+of them without a copy. ``write_trace`` renders the nine columns as they
+are, so rewriting a parsed trace reproduces its bytes, edits included: only
+the checker, ``verify_trace``, derives a verdict. Floats are serialized
+with repr(), which parses back to the identical double, so an honest trace
+matches its refold bitwise, and any single edited cell shows up as an exact
+mismatch (or as a broken f-chain between consecutive rows). The file
+format and its line reader live in ``bcdcert.audit``.
 
 ``read_trace`` requires the six raw columns to be finite; the derived ones
 may hold inf (an overflowing sum or bound in an honest run), and only the
@@ -28,20 +31,19 @@ the full gradient because the y block is stationary (to within the recorded
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 import os
-import tempfile
+from array import array
 from dataclasses import dataclass
 
-import numpy as np
+from .audit import RAW_FIELDS, TABLE_FIELDS, TRACE_HEADER, Certificate, check_record, read_table, refold
+from .errors import TamperDetected
 
-from .audit import (RAW_FIELDS, TABLE_FIELDS, TRACE_HEADER, Certificate, check_record, fit_slope,
-                    read_table, refold, verify)
-
-# Rows turned into Python scalars at a time when a run is walked row by row.
-_BLOCK = 1024
+# suff_ok's place among a row's columns, after the raw fields
+_SUFF_OK = len(RAW_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -78,68 +80,51 @@ class TraceRow:
     rate_bound_prefix: float
 
 
-def row_blocks(columns):
-    """Yield (t0, lists): rows t0, t0 + 1, ... of equal-length ``columns``, _BLOCK rows at a time.
-
-    ``columns`` are 1-d buffers: numpy arrays, ``array('d')``s or
-    ``bytearray``s. Each list holds one column's values for those rows as
-    Python scalars, so walking a run row by row never holds more than one
-    block of them.
-    """
-    n = len(columns[0])
-    for t0 in range(0, n, _BLOCK):
-        yield t0, [memoryview(col)[t0:t0 + _BLOCK].tolist() for col in columns]
-
-
 class History:
-    """A run's records as columns: float64 arrays and the bool suff_ok, in trace column order.
+    """A run's records as columns, in trace column order: float64 buffers and suff_ok's 0/1 bytes.
 
     Reads like a list of ``IterationRecord`` with ``t == index``; a row
-    becomes a record (of Python floats) only when it is read, and iteration
-    converts one ``row_blocks`` block at a time. The constructor takes all
-    nine columns as they are, values that passed ``check_record`` and
-    derived columns that go with them; it checks neither.
+    becomes a record (of Python floats and a bool suff_ok) only when it is
+    read. The constructor stores the nine columns it is given, in
+    ``__slots__`` order, as they are: values that passed ``check_record``
+    and derived columns that go with them; it checks neither.
     """
 
     __slots__ = RAW_FIELDS + ("suff_ok", "cum_sum", "rate_bound_prefix")
     _fields = __slots__[:-2]  # the columns a row is built from, in order
 
-    def __init__(self, f_before, f_after_x, f_after_y, gx_norm_sq, gy_residual, e_t,
-                 suff_ok, cum_sum, rate_bound_prefix):
-        floats = (f_before, f_after_x, f_after_y, gx_norm_sq, gy_residual, e_t, cum_sum, rate_bound_prefix)
-        for name, col in zip(TABLE_FIELDS, floats):
-            setattr(self, name, np.asarray(col, dtype=np.float64))
-        self.suff_ok = np.asarray(suff_ok, dtype=bool)
+    def __init__(self, *columns):
+        for name, column in zip(self.__slots__, columns, strict=True):
+            setattr(self, name, column)
 
     @classmethod
-    def _fold(cls, rows, f0: float = math.nan) -> tuple[History, Certificate]:
-        """(History, Certificate) of rows of (f_before, ..., e_t), already checked, folded once.
+    def _fold(cls, rows: array, f0: float = math.nan) -> tuple[History, Certificate]:
+        """(History, Certificate) of checked records' raw fields, row after row in one flat ``array('d')``.
 
-        ``rows`` is a sequence of tuples or an (n, 6) float64 array, which is
-        copied in one step. The derived columns are the ones ``audit.refold``
-        returns, kept without a copy; f0 names an empty run's start value.
+        The raw columns are strided slices of ``rows``, and the derived ones
+        are the buffers ``audit.refold`` returns for them, folded once; f0
+        names an empty run's start value.
         """
-        table = np.array(rows, dtype=np.float64).reshape(len(rows), len(RAW_FIELDS)).T
-        suff_ok, cum_sum, bounds, cert = refold(*map(memoryview, table), f0)
-        return cls(*table, np.frombuffer(suff_ok, dtype=bool), cum_sum, bounds), cert
+        width = len(RAW_FIELDS)
+        raw = [rows[i::width] for i in range(width)]
+        suff_ok, cum_sum, bounds, cert = refold(*raw, f0)
+        return cls(*raw, suff_ok, cum_sum, bounds), cert
 
     @classmethod
     def from_rows(cls, rows) -> History:
-        """From rows of (f_before, ..., e_t), already checked; the fold derives the rest (see ``_fold``)."""
-        return cls._fold(rows)[0]
+        """From rows of (f_before, ..., e_t), folded once (see ``_fold``).
 
-    @classmethod
-    def from_records(cls, records) -> History:
-        """From IterationRecords in order, as ``from_rows``; a record's own suff_ok is not read.
-
-        Raises ValueError when a record's t is not its index.
+        Raises ValueError, naming the record, at the first row that is not
+        six fields or fails ``check_record``.
         """
-        rows = []
-        for i, rec in enumerate(records):
-            if rec.t != i:
-                raise ValueError(f"record t={rec.t} at index {i}")
-            rows.append(tuple(getattr(rec, name) for name in RAW_FIELDS))
-        return cls.from_rows(rows)
+        flat = array("d")
+        for t, row in enumerate(rows):
+            row = array("d", row)
+            if len(row) != len(RAW_FIELDS):
+                raise ValueError(f"record {t} has {len(row)} fields, not {len(RAW_FIELDS)}")
+            check_record(t, *row)
+            flat += row
+        return cls._fold(flat)[0]
 
     def _row(self, t, *values):
         return IterationRecord(t, *values)
@@ -148,15 +133,17 @@ class History:
         return len(self.suff_ok)
 
     def __iter__(self):
-        for t0, columns in row_blocks([getattr(self, name) for name in self._fields]):
-            for t, values in enumerate(zip(*columns), t0):
-                yield self._row(t, *values)
+        columns = [getattr(self, name) for name in self._fields]
+        columns[_SUFF_OK] = map(bool, columns[_SUFF_OK])
+        return map(self._row, itertools.count(), *columns)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         t = range(len(self))[index]
-        return self._row(t, *(getattr(self, name)[t].item() for name in self._fields))
+        values = [getattr(self, name)[t] for name in self._fields]
+        values[_SUFF_OK] = bool(values[_SUFF_OK])
+        return self._row(t, *values)
 
     def __eq__(self, other):
         if isinstance(other, (History, list)):
@@ -177,17 +164,10 @@ class Trace(History):
         return TraceRow(IterationRecord(t, *values[:7]), *values[7:])
 
 
-def fit_rate(history: History) -> float:
-    """``audit.fit_slope`` of the history's gx_norm_sq column: the min-gradient decay slope.
-
-    Raises InsufficientHistory below 10 records and DegenerateFit when the
-    gradient norm hit exactly zero.
-    """
-    return fit_slope(history.gx_norm_sq.tolist())
-
-
 def _atomic_write(path: str, chunks) -> None:
     """Write the strings of ``chunks`` to ``path`` through a temporary file and a rename."""
+    import tempfile  # here: with shutil and random it costs ~5 ms, which report, reading only, need not pay
+
     dirname = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-trace-")
     try:
@@ -203,20 +183,12 @@ def _atomic_write(path: str, chunks) -> None:
 def write_trace(path: str, history: History) -> None:
     """Write a History's nine columns, as they are, as a trace CSV (whole-file atomic).
 
-    Lines are rendered from the columns with repr(), one ``row_blocks``
-    block at a time.
+    Each line is rendered from one row of the columns, floats with repr().
     """
-    columns = [getattr(history, name) for name in History.__slots__]
-
-    def lines():
-        yield TRACE_HEADER + "\n"
-        for t0, (*raw, flags, sums, bounds) in row_blocks(columns):
-            cells = [map(str, range(t0, t0 + len(flags)))]
-            cells += [map(repr, col) for col in raw]
-            cells += [("1" if ok else "0" for ok in flags), map(repr, sums), map(repr, bounds)]
-            yield "".join(",".join(row) + "\n" for row in zip(*cells))
-
-    _atomic_write(path, lines())
+    rows = zip(*(getattr(history, name) for name in History.__slots__))
+    lines = (f"{t},{f!r},{f_x!r},{f_y!r},{g_sq!r},{gy!r},{e!r},{'1' if ok else '0'},{s!r},{bound!r}\n"
+             for t, (f, f_x, f_y, g_sq, gy, e, ok, s, bound) in enumerate(rows))
+    _atomic_write(path, itertools.chain([TRACE_HEADER + "\n"], lines))
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -227,24 +199,41 @@ def write_json(path: str, payload: dict) -> None:
 def read_trace(path: str) -> Trace:
     """Parse and validate a trace CSV with ``read_table``; schema violations raise SchemaMismatch.
 
-    The first faulty line is named, as a line-by-line parse meets it.
+    The first faulty line is named, as a line-by-line parse meets it. Each
+    float column is a strided view of the parsed buffer, without a copy.
     """
     flags, values = read_table(path)
-    # the parsed buffer itself, without a copy: every column is a view of it
-    table = np.frombuffer(values, dtype=np.float64).reshape(len(flags), len(TABLE_FIELDS)).T
-    return Trace(*table[: len(RAW_FIELDS)], flags, *table[len(RAW_FIELDS):])
+    table, width = memoryview(values), len(TABLE_FIELDS)
+    columns = [table[i::width] for i in range(width)]
+    return Trace(*columns[:_SUFF_OK], flags, *columns[_SUFF_OK:])
 
 
 def verify_trace(history: History) -> Certificate:
-    """Refold a History with the checker's ``verify``: its certificate, or TamperDetected.
+    """Refold a History's raw columns and compare: its certificate, or TamperDetected.
 
     Any History will do: a parsed trace or a run's own. TamperDetected names
     the first offending row: the f-chain between consecutive rows is checked
     first, then whether any carried derived column disagrees with
-    recomputation (suff_ok, then cum_sum, then rate_bound_prefix within a
+    ``audit.refold`` (suff_ok, then cum_sum, then rate_bound_prefix within a
     row). The certificate's verdicts are the ones the run that wrote the
     trace reached, under the tolerance ``check_tol_for(f0)`` of the first
     row's f0; an empty trace gives ``Certificate.fresh(nan)``.
     """
-    columns = {name: memoryview(getattr(history, name)) for name in TABLE_FIELDS}
-    return verify(memoryview(history.suff_ok), columns)
+    chain = zip(itertools.islice(history.f_before, 1, None), history.f_after_y)
+    for t, (f, previous) in enumerate(chain, 1):
+        if f != previous:
+            raise TamperDetected(f"row {t}: f_before does not chain from the previous row")
+
+    suff_ok, cum_sum, bounds, cert = refold(*(getattr(history, name) for name in RAW_FIELDS))
+    recorded = zip(history.suff_ok, suff_ok, history.cum_sum, cum_sum, history.rate_bound_prefix, bounds)
+    for t, (flag, ok, sum_in, sum_out, bound_in, bound_out) in enumerate(recorded):
+        if flag != ok:
+            column = "suff_ok flag"
+        elif sum_in != sum_out:
+            column = "cum_sum"
+        elif bound_in != bound_out:
+            column = "rate_bound_prefix"
+        else:
+            continue
+        raise TamperDetected(f"row {t}: {column} does not refold")
+    return cert

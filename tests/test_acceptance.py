@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from bcdcert.audit import check_tol_for
+from bcdcert.audit import check_tol_for, fit_slope
 from bcdcert.cli import main as cli_main
 from bcdcert.numerics import fd_check_gradients, probe_lipschitz_x
 from bcdcert.problem import BlockPoint, evaluate
@@ -31,7 +31,7 @@ from bcdcert.strategies import (
     exact_min_x,
     fixed_step_gradient_x,
 )
-from bcdcert.traceio import History, IterationRecord, fit_rate, read_trace, write_trace
+from bcdcert.traceio import History, read_trace, write_trace
 from bcdcert.cli import cmd_report
 
 from conftest import APPLICABLE, zoo_problem, zoo_start
@@ -152,19 +152,9 @@ def test_criterion_4_rate_bound_and_slope(zoo_runs):
                 break
 
     # a history with ||gx||^2 = 1/(t+1) must fit a -1/2 log-log slope
-    recs = [
-        IterationRecord(
-            t=t,
-            f_before=float(400 - t),
-            f_after_x=400.0 - t - 0.5,
-            f_after_y=float(400 - t - 1),
-            gx_norm_sq=1.0 / (t + 1.0),
-            gy_residual=0.0,
-            e_t=1.0,
-        )
-        for t in range(400)
-    ]
-    slope = fit_rate(History.from_records(recs))
+    rows = [(float(400 - t), 400.0 - t - 0.5, float(400 - t - 1), 1.0 / (t + 1.0), 0.0, 1.0)
+            for t in range(400)]
+    slope = fit_slope(History.from_rows(rows).gx_norm_sq)
     if abs(slope - (-0.5)) > 1e-6:
         failures.append(f"synthetic slope {slope!r} not within 1e-6 of -0.5")
     announce(4, "min-gradient rate bound and -1/2 slope", failures, t0, budget=10.0)

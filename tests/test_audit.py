@@ -1,14 +1,16 @@
-"""The trace checker, ``bcdcert.audit``, against the reference fold, and without numpy.
+"""The trace checker, ``bcdcert.audit``, against the reference fold, and the trace layer without numpy.
 
 ``report`` and ``verify_trace`` decide with ``audit.refold``, the one
-certificate fold, which ``solve()`` and ``write_trace`` use too. These tests
-hold it to ``test_fold.reference_fold`` as the checker feeds it: columns of
-the standard library's ``array('d')``, as ``table_columns`` cuts them from
-a parsed file. On generated histories and on the traces of every
-``tests/data`` config, suff_ok, cum_sum and rate_bound_prefix agree bit for
-bit (the sign of a zero counts), and so does every ``Certificate`` field.
-``report`` itself must run with numpy absent and print what it prints with
-numpy present.
+certificate fold, which ``solve()`` uses too. These tests hold it to
+``test_fold.reference_fold`` as the checker feeds it: columns of the
+standard library's ``array('d')``, or strided views of the one parsed
+buffer, as ``read_trace`` holds them. On generated histories and on the
+traces of every ``tests/data`` config, suff_ok, cum_sum and
+rate_bound_prefix agree bit for bit (the sign of a zero counts), and so
+does every ``Certificate`` field. The whole trace layer (``from_rows``,
+iteration, ``write_trace``, ``read_trace``, ``verify_trace`` and
+``report``) must run with numpy absent and give what it gives with numpy
+present.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from array import array
 from pathlib import Path
 
@@ -101,8 +104,7 @@ def test_refold_of_nothing_is_the_fresh_certificate(f0):
 def test_an_honest_trace_verifies_to_the_reference_certificate(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("audit") / "t.trace.csv"
     write_trace(str(path), History.from_rows(rows))
-    flags, values = audit.read_table(str(path))
-    assert_same_certificate(audit.verify(flags, audit.table_columns(values)), Certificate(**reference_fold(rows)[3]))
+    assert_same_certificate(verify_trace(read_trace(str(path))), Certificate(**reference_fold(rows)[3]))
 
 
 @pytest.fixture(scope="module")
@@ -119,15 +121,13 @@ def data_traces(tmp_path_factory):
 
 def test_refold_matches_the_reference_on_every_data_trace(data_traces):
     for path in data_traces:
-        flags, values = audit.read_table(str(path))
-        columns = audit.table_columns(values)
-        cert = assert_refold_matches_reference(list(zip(*(columns[name] for name in RAW_FIELDS))))
+        trace = read_trace(str(path))
+        cert = assert_refold_matches_reference(list(zip(*(getattr(trace, name) for name in RAW_FIELDS))))
         assert cert.passed()
-        assert_same_certificate(audit.verify(flags, columns), cert)
-        assert_same_certificate(verify_trace(read_trace(str(path))), cert)
+        assert_same_certificate(verify_trace(trace), cert)
 
 
-# --- report without numpy ----------------------------------------------------
+# --- the trace layer and report without numpy ---------------------------------
 
 
 def python(*args):
@@ -155,6 +155,47 @@ def test_report_with_numpy_blocked_prints_the_same(data_traces):
         without = python("-c", blocked, "report", str(path))
         assert plain.returncode == without.returncode == 0, without.stderr
         assert without.stdout == plain.stdout and without.stderr == ""
+
+
+def test_importing_the_trace_layer_loads_no_numpy():
+    code = "import sys, bcdcert.traceio; print([m for m in sys.modules if m.split('.')[0] == 'numpy'])"
+    proc = python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+# Builds, walks, writes, reads and verifies a History, and rewrites a parsed
+# trace, in a process where importing numpy fails.
+TRACE_LAYER_WITHOUT_NUMPY = textwrap.dedent("""
+    import sys
+    sys.modules["numpy"] = None
+    from bcdcert.traceio import History, read_trace, verify_trace, write_trace
+
+    rows, golden, chain_out, golden_out = eval(sys.argv[1]), *sys.argv[2:]
+    history = History.from_rows(rows)
+    records = list(history)
+    assert records == [history[t] for t in range(len(rows))] and history == records
+    assert [r.t for r in records] == list(range(len(rows))) and all(r.suff_ok is True for r in records)
+    write_trace(chain_out, history)
+    trace = read_trace(chain_out)
+    assert [row.record for row in trace] == records
+    cert = verify_trace(trace)
+    assert cert == verify_trace(history)
+    write_trace(golden_out, read_trace(golden))
+    print(cert.passed(), cert.num_steps, verify_trace(read_trace(golden_out)).passed())
+""")
+
+
+def test_the_trace_layer_runs_with_numpy_blocked(tmp_path):
+    rows = [(0.25, 0.125, 0.0625, 0.25, 0.0, 1.0), (0.0625, 0.03125, 0.015625, 0.0625, 0.0, 1.0)]
+    chain, rewritten = tmp_path / "chain.trace.csv", tmp_path / "golden.trace.csv"
+    proc = python("-c", TRACE_LAYER_WITHOUT_NUMPY, repr(rows), str(GOLDEN), str(chain), str(rewritten))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True 2 True\n" and proc.stderr == ""
+    # the same bytes as with numpy present
+    assert rewritten.read_bytes() == GOLDEN.read_bytes()
+    write_trace(str(tmp_path / "here.trace.csv"), History.from_rows(rows))
+    assert chain.read_bytes() == (tmp_path / "here.trace.csv").read_bytes()
 
 
 def test_report_refuses_a_trace_that_is_not_utf8(tmp_path, capsys):

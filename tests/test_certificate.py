@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from bcdcert.audit import Certificate, check_tol_for, rate_bound, sufficient_decrease
+from bcdcert.audit import RAW_FIELDS, Certificate, check_tol_for, fit_slope, rate_bound, sufficient_decrease
 from bcdcert.errors import DegenerateFit, InsufficientHistory
-from bcdcert.traceio import History, IterationRecord, fit_rate, read_trace, verify_trace, write_trace
+from bcdcert.traceio import History, IterationRecord, read_trace, verify_trace, write_trace
 
 from test_fold import fold_history
 
@@ -23,9 +23,14 @@ def rec(t, f_before, f_after_x, f_after_y, gx_sq, e_t, gy_res=0.0):
     )
 
 
+def history_of(records):
+    """A History of the records' raw fields, in order: the fold derives the rest, their suff_ok unread."""
+    return History.from_rows([tuple(getattr(r, name) for name in RAW_FIELDS) for r in records])
+
+
 def folded(records):
     """The fold of the records in order: (suff_ok, cum_sum, rate_bound_prefix, certificate)."""
-    return fold_history(History.from_records(records))
+    return fold_history(history_of(records))
 
 
 def step_ok(r):
@@ -40,15 +45,38 @@ CHAIN = [
 ]
 
 
-def test_record_validation():
-    with pytest.raises(ValueError):
-        rec(0, math.nan, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        rec(0, 1.0, 0.0, 0.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        rec(0, 1.0, 0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        rec(0, 1.0, 0.0, 0.0, 1.0, 1.0, gy_res=-0.5)
+# (f_before, f_after_x, f_after_y, gx_norm_sq, gy_residual, e_t) rows that no record may hold
+INVALID_ROWS = [
+    (math.nan, 0.0, 0.0, 1.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, -1.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+    (1.0, 0.0, 0.0, 1.0, -0.5, 1.0),
+]
+
+
+@pytest.mark.parametrize("row", INVALID_ROWS)
+def test_record_validation(row):
+    with pytest.raises(ValueError, match="^record 0 "):
+        History.from_rows([row])
+    with pytest.raises(ValueError, match="^record 0 "):
+        IterationRecord(0, *row)
+
+
+def test_from_rows_refuses_a_row_the_trace_reader_would_refuse(tmp_path):
+    # from_rows once took this row; verify_trace then certified it with
+    # min_grad_sq = -1.0, and read_trace refused the file write_trace made of it
+    row = (1.0, 0.5, 0.5, -1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="^record 0 has negative norms$"):
+        History.from_rows([row])
+    # the first invalid row is named by its index
+    with pytest.raises(ValueError, match="^record 2 has negative norms$"):
+        History.from_rows([(0.25, 0.125, 0.0625, 0.25, 0.0, 1.0)] * 2 + [row])
+
+
+@pytest.mark.parametrize("row", [(1.0, 0.5, 0.5, 1.0, 0.0), (1.0, 0.5, 0.5, 1.0, 0.0, 1.0, 1.0)])
+def test_from_rows_names_a_row_of_the_wrong_width(row):
+    with pytest.raises(ValueError, match=f"^record 1 has {len(row)} fields, not 6$"):
+        History.from_rows([(1.0, 0.5, 0.5, 1.0, 0.0, 1.0), row])
 
 
 def test_step_check_equality_is_a_pass():
@@ -93,23 +121,17 @@ def test_fold_folds_the_worked_chain():
 
 
 def test_fold_is_pure():
-    history = History.from_records(CHAIN)
-    columns = [getattr(history, name).copy() for name in History.__slots__]
+    history = history_of(CHAIN)
+    columns = [list(getattr(history, name)) for name in History.__slots__]
     first = fold_history(history)
-    assert all(np.array_equal(getattr(history, name), col)
-               for name, col in zip(History.__slots__, columns))
+    assert [list(getattr(history, name)) for name in History.__slots__] == columns
     # the fold derives the flags: the records' own (False) are not read
     assert [r.suff_ok for r in CHAIN] == [False, False]
-    assert history.suff_ok.tolist() == list(first[0]) == [True, True]
-    assert history.cum_sum.tolist() == list(first[1])
-    assert history.rate_bound_prefix.tolist() == list(first[2])
+    assert list(history.suff_ok) == list(first[0]) == [True, True]
+    assert list(history.cum_sum) == list(first[1])
+    assert list(history.rate_bound_prefix) == list(first[2])
     assert fold_history(history)[3] == first[3]
     assert folded(CHAIN[:1])[3].num_steps == 1
-
-
-def test_history_rejects_out_of_order_records():
-    with pytest.raises(ValueError, match="record t=1 at index 0"):
-        History.from_records([CHAIN[1]])
 
 
 def test_failed_step_poisons_all_steps_ok():
@@ -157,7 +179,7 @@ def test_telescope_is_checked_at_every_prefix():
 def test_trace_audit_agrees_with_the_fold(tmp_path):
     path = str(tmp_path / "prefix.trace.csv")
     records = telescope_fails_only_at_prefix_0()
-    write_trace(path, History.from_records(records))
+    write_trace(path, history_of(records))
     cert = verify_trace(read_trace(path))
     assert cert == folded(records)[3]
     assert cert.all_steps_ok and cert.rate_bound_ok
@@ -238,41 +260,41 @@ def power_law_history(n, exponent=-0.5):
     return records
 
 
-def test_fit_rate_recovers_the_half_power_law():
-    slope = fit_rate(History.from_records(power_law_history(200)))
+def test_fit_slope_recovers_the_half_power_law():
+    slope = fit_slope(history_of(power_law_history(200)).gx_norm_sq)
     assert slope == pytest.approx(-0.5, abs=1e-6)
 
 
-def test_fit_rate_recovers_other_exponents():
-    slope = fit_rate(History.from_records(power_law_history(100, exponent=-1.0)))
+def test_fit_slope_recovers_other_exponents():
+    slope = fit_slope(history_of(power_law_history(100, exponent=-1.0)).gx_norm_sq)
     assert slope == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_fit_rate_uses_the_running_minimum():
+def test_fit_slope_uses_the_running_minimum():
     # an up-spike in the gradient must not affect the fitted envelope
     records = power_law_history(50)
     records[30] = dataclasses.replace(records[30], gx_norm_sq=100.0)
-    slope = fit_rate(History.from_records(records))
+    slope = fit_slope(history_of(records).gx_norm_sq)
     assert slope == pytest.approx(-0.5, abs=0.02)
 
 
-def test_fit_rate_of_a_flat_running_minimum_is_exactly_zero():
+def test_fit_slope_of_a_flat_running_minimum_is_exactly_zero():
     # np.polyfit gave -1.8e-17 here, which report printed as "-0.0000"
     records = [dataclasses.replace(r, gx_norm_sq=4.0) for r in power_law_history(50)]
-    slope = fit_rate(History.from_records(records))
+    slope = fit_slope(history_of(records).gx_norm_sq)
     assert slope == 0.0 and math.copysign(1.0, slope) == 1.0
 
 
-def test_fit_rate_needs_ten_records():
+def test_fit_slope_needs_ten_records():
     with pytest.raises(InsufficientHistory):
-        fit_rate(History.from_records(power_law_history(9)))
+        fit_slope(history_of(power_law_history(9)).gx_norm_sq)
 
 
-def test_fit_rate_rejects_exact_zero_norms():
+def test_fit_slope_rejects_exact_zero_norms():
     records = power_law_history(12)
     records[5] = dataclasses.replace(records[5], gx_norm_sq=0.0)
     with pytest.raises(DegenerateFit):
-        fit_rate(History.from_records(records))
+        fit_slope(history_of(records).gx_norm_sq)
 
 
 def test_records_are_immutable():

@@ -1,19 +1,23 @@
-"""Row views across block boundaries: iteration, trace writing and reading, equality.
+"""A History's columns and the rows read from them: iteration, trace writing and reading, equality.
 
-A History is walked ``_BLOCK`` rows at a time (``traceio.row_blocks``);
-these runs are two blocks and three rows long, so every path crosses two
-block boundaries and ends in a short block.
+A History built from rows holds ``array('d')`` raw columns and the fold's
+own buffers; a parsed one holds strided views of the one buffer the file
+was parsed into. These runs are a few thousand rows of varied magnitude, so
+every path meets -0.0, subnormals, huge values and overflowed sums.
 """
+
+import math
+from array import array
 
 import numpy as np
 import pytest
 
 from bcdcert.audit import RAW_FIELDS
-from bcdcert.traceio import _BLOCK, TRACE_HEADER, History, IterationRecord, Trace, read_trace, write_trace
+from bcdcert.traceio import TRACE_HEADER, History, IterationRecord, Trace, read_trace, write_trace
 
 from test_fold import fold_history
 
-N = 2 * _BLOCK + 3
+N = 2051
 
 
 def long_history(n=N, seed=0):
@@ -40,19 +44,19 @@ def history():
 
 @pytest.fixture(scope="module")
 def written(history, tmp_path_factory):
-    path = str(tmp_path_factory.mktemp("blocks") / "long.trace.csv")
+    path = str(tmp_path_factory.mktemp("columns") / "long.trace.csv")
     write_trace(path, history)
     return path
 
 
-def test_iteration_equals_indexing_across_blocks(history):
+def test_iteration_equals_indexing(history):
     rows = list(history)
     assert len(rows) == N
     assert all(row == history[t] for t, row in enumerate(rows))
     assert [row.t for row in rows] == list(range(N))
 
 
-def test_trace_iteration_equals_indexing_across_blocks(written):
+def test_trace_iteration_equals_indexing(written):
     trace = read_trace(written)
     rows = list(trace)
     assert len(rows) == N
@@ -61,13 +65,13 @@ def test_trace_iteration_equals_indexing_across_blocks(written):
 
 def test_write_trace_matches_a_row_by_row_rendering(history, written):
     # the history's own derived columns, as write_trace writes them
-    assert 0 < history.suff_ok.sum() < N
+    assert 0 < sum(history.suff_ok) < N
     lines = [TRACE_HEADER]
     for t in range(N):
         rec = history[t]
         cells = [str(t)] + [repr(getattr(rec, name)) for name in RAW_FIELDS]
         cells += ["1" if rec.suff_ok else "0"]
-        cells += [repr(history.cum_sum[t].item()), repr(history.rate_bound_prefix[t].item())]
+        cells += [repr(history.cum_sum[t]), repr(history.rate_bound_prefix[t])]
         lines.append(",".join(cells))
     with open(written, "rb") as fh:
         assert fh.read() == ("\n".join(lines) + "\n").encode()
@@ -81,25 +85,35 @@ def test_read_trace_columns_are_bitwise_the_written_ones(history, written):
         assert getattr(trace, name).tobytes() == getattr(history, name).tobytes(), name
     assert trace.cum_sum.tobytes() == cum_sum.tobytes()
     assert trace.rate_bound_prefix.tobytes() == rate_bound.tobytes()
-    assert trace.suff_ok.tolist() == list(suff_ok)
+    assert list(trace.suff_ok) == list(suff_ok)
 
 
 def test_read_trace_columns_share_one_buffer(written):
     trace = read_trace(written)
-    base = trace.f_before.base
-    assert not trace.f_before.flags.owndata and base is not None
+    base = trace.f_before.obj
+    assert isinstance(base, array) and len(base) == 8 * N
     for name in Trace._fields:
         if name != "suff_ok":
-            assert getattr(trace, name).base is base, name
+            assert getattr(trace, name).obj is base, name
+    # np.asarray views a column without a copy
+    assert np.shares_memory(np.asarray(trace.e_t), np.frombuffer(base))
 
 
-def test_equality_across_blocks(history, written):
-    same = History(*(getattr(history, name).copy() for name in History.__slots__))
+def test_column_types(history, written):
+    for name in RAW_FIELDS + ("cum_sum", "rate_bound_prefix"):
+        assert type(getattr(history, name)) is array and getattr(history, name).typecode == "d", name
+    assert type(history.suff_ok) is bytearray and set(history.suff_ok) == {0, 1}
+    assert type(read_trace(written).suff_ok) is bytearray
+    assert np.shares_memory(np.asarray(history.e_t), np.frombuffer(history.e_t))
+
+
+def test_equality(history, written):
+    same = History(*(getattr(history, name)[:] for name in History.__slots__))
     assert history == same
     assert history == list(same)
     assert history != History(*(getattr(history, name)[:-1] for name in History.__slots__))
-    last = same.e_t.copy()
-    last[-1] = np.nextafter(last[-1], np.inf)
+    last = same.e_t[:]
+    last[-1] = math.nextafter(last[-1], math.inf)
     changed = History(*(last if name == "e_t" else getattr(same, name) for name in History.__slots__))
     assert history != changed
     # a TraceRow never equals an IterationRecord, as in a list comparison
@@ -117,8 +131,8 @@ def test_equality_stops_at_the_first_differing_row(history, monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr("bcdcert.traceio.IterationRecord", Counted)
-    first = history.f_before.copy()
-    first[0] = np.nextafter(first[0], np.inf)
+    first = history.f_before[:]
+    first[0] = math.nextafter(first[0], math.inf)
     other = History(*(first if name == "f_before" else getattr(history, name) for name in History.__slots__))
     assert history != other
     assert built == [0, 0]

@@ -14,6 +14,16 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
 
+def test_the_root_exports_these_names():
+    assert bcdcert.__all__ == [
+        "BacktrackParams", "BcdcertError", "BlockPoint", "Certificate", "History", "IterationRecord",
+        "Objective", "ProblemSpec", "RunResult", "SolverConfig", "StopReason", "XUpdateResult",
+        "backtracking_gradient_x", "exact_min_x", "fixed_step_gradient_x", "make_problem",
+        "random_start", "read_trace", "solve", "solve_gd_baseline", "stationary_y",
+        "verify_trace", "write_trace",
+    ]
+
+
 def test_every_exported_name_resolves():
     assert len(set(bcdcert.__all__)) == len(bcdcert.__all__)
     missing = [name for name in bcdcert.__all__ if not hasattr(bcdcert, name)]

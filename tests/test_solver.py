@@ -122,10 +122,10 @@ def test_history_chain_is_exact():
 def test_refold_reproduces_the_certificate():
     obj = zoo_problem("coupled_quadratic", seed=6)
     res = solve(obj, zoo_start(obj, 6), SolverConfig(max_iters=25))
-    history = History.from_records(list(res.history))
+    history = History.from_rows([tuple(getattr(r, name) for name in RAW_FIELDS) for r in res.history])
     suff_ok, _, _, cert = fold_history(history)
     assert cert == res.certificate
-    assert list(suff_ok) == res.history.suff_ok.tolist() == [r.suff_ok for r in res.history]
+    assert list(suff_ok) == list(res.history.suff_ok) == [r.suff_ok for r in res.history]
     assert history == res.history
 
 

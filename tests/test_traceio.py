@@ -1,17 +1,15 @@
-import dataclasses
 import glob
 import math
 import os
 
 import pytest
 
-from bcdcert.audit import check_tol_for
+from bcdcert.audit import RAW_FIELDS, check_tol_for, fit_slope
 from bcdcert.errors import InsufficientHistory, SchemaMismatch, TamperDetected
 from bcdcert.solver import SolverConfig, solve
 from bcdcert.traceio import (
     TRACE_HEADER,
     History,
-    fit_rate,
     read_trace,
     verify_trace,
     write_trace,
@@ -19,6 +17,11 @@ from bcdcert.traceio import (
 
 from conftest import zoo_problem, zoo_start
 from test_fold import fold_history
+
+
+def raw_rows(records):
+    """The raw fields of records, in order, as from_rows takes them."""
+    return [tuple(getattr(r, name) for name in RAW_FIELDS) for r in records]
 
 
 def run_and_write(tmp_path, seed=5, max_iters=40, name="run.trace.csv"):
@@ -66,8 +69,7 @@ def test_fresh_trace_verifies_to_the_runs_certificate(tmp_path):
 def test_derived_columns_match_a_refold(tmp_path):
     res, path = run_and_write(tmp_path)
     rows = read_trace(path)
-    records = [dataclasses.replace(r.record, suff_ok=False) for r in rows]
-    suff_ok, cum_sum, rate_bound, cert = fold_history(History.from_records(records))
+    suff_ok, cum_sum, rate_bound, cert = fold_history(History.from_rows(raw_rows(r.record for r in rows)))
     derived = zip(suff_ok, cum_sum, rate_bound)
     for row, (ok, cum, rb) in zip(rows, derived):
         assert row.record.suff_ok == ok
@@ -93,7 +95,7 @@ def test_rows_read_like_a_list(tmp_path):
 def test_a_history_rebuilt_from_its_records_writes_the_same_bytes(tmp_path):
     res, path = run_and_write(tmp_path)
     again = str(tmp_path / "records.trace.csv")
-    write_trace(again, History.from_records(list(res.history)))
+    write_trace(again, History.from_rows(raw_rows(res.history)))
     assert open(again, "rb").read() == open(path, "rb").read()
 
 
@@ -106,7 +108,7 @@ def test_empty_trace_is_trivially_valid(tmp_path):
     assert cert.passed() and cert.num_steps == 0
     assert math.isnan(cert.f0) and math.isnan(cert.rate_bound)
     with pytest.raises(InsufficientHistory):
-        fit_rate(rows)
+        fit_slope(rows.gx_norm_sq)
 
 
 def test_no_temp_files_left_behind(tmp_path):
